@@ -10,6 +10,7 @@ import (
 	"dcc/internal/core"
 	"dcc/internal/geom"
 	"dcc/internal/graph"
+	"dcc/internal/stats"
 	"dcc/internal/stream"
 	"dcc/internal/telemetry"
 )
@@ -20,7 +21,7 @@ import (
 //
 //   - stepped: every event is applied and the cover re-elected immediately
 //     under a dccsim.stream_step span — the per-event update-latency
-//     profile (p50/p99 read back from the span's timing histogram);
+//     profile (exact p50/p99 of the sorted per-event span durations);
 //   - batched: events are ingested under the engine's coalescing
 //     backpressure with a bounded-staleness consumer polling every 50
 //     events — the sustained events/sec figure (dccsim.stream_batch span).
@@ -28,8 +29,7 @@ import (
 // A from-scratch canonical schedule of the final topology is timed as the
 // baseline an operator would pay per poll without incremental maintenance
 // (dccsim.batch_schedule span). All timing flows through the registry's
-// clock; the percentiles are histogram-bucket upper edges, so they are
-// conservative. The [stream-bench] line is machine-readable;
+// clock. The [stream-bench] line is machine-readable;
 // scripts/bench.sh turns it into BENCH_stream.json.
 func streamingThroughput(w io.Writer, reg *telemetry.Registry, seed int64, nodes, events int) error {
 	if reg == nil {
@@ -62,17 +62,18 @@ func streamingThroughput(w io.Writer, reg *telemetry.Registry, seed int64, nodes
 	if err != nil {
 		return err
 	}
-	stepHist := reg.TimingHistogram("dccsim.stream_step")
-	for _, ev := range evs {
+	steps := make([]float64, len(evs))
+	for i, ev := range evs {
 		sp := reg.StartSpan("dccsim.stream_step")
 		if err := eng.Step(ev); err != nil {
 			return fmt.Errorf("streaming bench: %w", err)
 		}
 		eng.Cover()
-		sp.End()
+		steps[i] = float64(sp.End())
 	}
-	p50 := time.Duration(stepHist.Quantile(0.5))
-	p99 := time.Duration(stepHist.Quantile(0.99))
+	stepCDF := stats.NewCDF(steps)
+	p50 := time.Duration(stepCDF.Quantile(0.5))
+	p99 := time.Duration(stepCDF.Quantile(0.99))
 
 	// Batched replay: sustained ingest with a bounded-staleness consumer.
 	eng2, err := stream.New(net, cfg)

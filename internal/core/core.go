@@ -191,15 +191,6 @@ type Stats struct {
 	Tests int
 	// Deletions counts removed nodes.
 	Deletions int
-	// Deleted is the former name of Deletions, kept in sync for one final
-	// release.
-	//
-	// Deprecated: use Deletions. This alias is scheduled for removal in
-	// the next release; no code in this module may read it (the alias
-	// audit in api_test.go fails the build on new internal uses), and the
-	// only writer is the finishResult sync that keeps external readers
-	// working through the deprecation window.
-	Deleted int
 }
 
 // Result is the output of a scheduling run.
@@ -263,7 +254,6 @@ func finishResult(net Network, g *graph.Graph, deleted []graph.NodeID, stats Sta
 		}
 	}
 	stats.Deletions = len(deleted)
-	stats.Deleted = stats.Deletions
 	return Result{
 		Final:        g,
 		Kept:         kept,
@@ -317,7 +307,7 @@ func scheduleSequential(net Network, opts Options) (Result, error) {
 // identical for every Options.Workers value. Batching matters on the pool:
 // a single test is microseconds on dense patches, and dispatching each one
 // as its own pool task made the parallel engine slower than sequential
-// (the 0.94× inversion recorded in BENCH_parallel.json).
+// (a 0.94× inversion on Figure 3).
 const testChunk = 16
 
 // testKit is the per-worker scratch bundle for batched deletability tests.

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -174,7 +174,7 @@ func (g *Graph) compactInduced(keep []int32, s *Scratch) *Graph {
 
 // sortDedupIndices sorts keep ascending and removes duplicates in place.
 func sortDedupIndices(keep []int32) []int32 {
-	sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
+	slices.Sort(keep)
 	out := keep[:0]
 	for i, b := range keep {
 		if i > 0 && keep[i-1] == b {

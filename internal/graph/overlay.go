@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // DeleteView is a deletion overlay over an immutable base Graph: vertices
 // are marked dead in O(1) instead of rebuilding the graph after every
 // deletion round. All queries see only the live subgraph. The overlay is
@@ -38,6 +40,11 @@ func (d *DeleteView) Alive(v NodeID) bool {
 	i, ok := d.g.index(v)
 	return ok && !d.gone[i]
 }
+
+// LiveAt reports whether the vertex at base dense index i (see
+// Graph.IndexOf) is live: Alive without the ID lookup, for callers that
+// already hold the index.
+func (d *DeleteView) LiveAt(i int) bool { return !d.gone[i] }
 
 // Delete marks v dead and reports whether it was live. Absent or
 // already-dead vertices are a no-op.
@@ -108,10 +115,11 @@ func (d *DeleteView) LiveDegree(v NodeID) int {
 	return n
 }
 
-// ballIdx runs a depth-bounded BFS from base index vi over live vertices
-// and returns the visited base indices excluding vi, sorted ascending. The
-// result aliases s.ball and is valid until the next use of s.
-func (d *DeleteView) ballIdx(vi int, k int, s *Scratch) []int32 {
+// bfsIdx runs a depth-bounded BFS from base index vi over live vertices,
+// stamping every visited vertex with the current epoch of s, and returns
+// the visited base indices in BFS order, vi first. The result aliases
+// s.queue and, like the stamps, is valid until the next use of s.
+func (d *DeleteView) bfsIdx(vi int, k int, s *Scratch) []int32 {
 	s.ensure(len(d.g.ids))
 	ep := s.nextEpoch()
 	queue := s.queue[:0]
@@ -132,8 +140,15 @@ func (d *DeleteView) ballIdx(vi int, k int, s *Scratch) []int32 {
 		}
 	}
 	s.queue = queue[:0]
-	s.ball = append(s.ball[:0], queue[1:]...)
-	return sortDedupIndices(s.ball)
+	return queue
+}
+
+// ballIdx returns the bfsIdx ball excluding vi, sorted ascending. The
+// result aliases s.ball and is valid until the next use of s.
+func (d *DeleteView) ballIdx(vi int, k int, s *Scratch) []int32 {
+	s.ball = append(s.ball[:0], d.bfsIdx(vi, k, s)[1:]...)
+	slices.Sort(s.ball) // BFS visits each vertex once: nothing to dedup
+	return s.ball
 }
 
 // KHopBallIndices returns the base indices of the live vertices within k
@@ -188,32 +203,38 @@ func (d *DeleteView) ExtractNeighborhood(v NodeID, k int, s *Scratch) (*Graph, [
 	return sub, direct
 }
 
-// FNV-1a 64-bit parameters for NeighborhoodFingerprint.
+// Parameters of the word mixer behind NeighborhoodFingerprint: the FNV-1a
+// offset basis as the seed, and the odd 64-bit multiplier of MurmurHash3's
+// finalizer.
 const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x1099511628211
+	mixSeed = 0xcbf29ce484222325
+	mixMul  = 0xff51afd7ed558ccd
 )
 
-// fnvMix folds one 64-bit word into an FNV-1a hash, byte by byte so the
-// diffusion matches the reference function.
-func fnvMix(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime64
-		x >>= 8
-	}
-	return h
+// mixWord folds one 64-bit word into the running hash: xor, multiply,
+// xorshift. For a fixed h each step is a bijection of x (the multiplier is
+// odd and the xorshift invertible), so two word sequences that differ in
+// one word and agree on the rest never collide; the xorshift carries the
+// high product bits, where the multiply diffuses, back into the low ones.
+func mixWord(h, x uint64) uint64 {
+	h = (h ^ x) * mixMul
+	return h ^ h>>32
 }
 
 // NeighborhoodFingerprint hashes the structure the deletability verdict of
-// v depends on — Γ^k(v) plus v's own live adjacency: the live vertices
-// within k hops of v in increasing ID order, and for each of them (v
-// included, v first) its live adjacency restricted to the ball. Everything
-// is hashed over node IDs, never base indices, so fingerprints are
-// comparable across views over structurally different base graphs: two
-// views agree on the fingerprint iff v's k-hop neighbourhood is identical
-// as a labelled graph (modulo 64-bit FNV-1a collisions). Returns 0 when v
-// is dead or absent — 0 is reserved and never produced for a live vertex.
+// v depends on — Γ^k(v) plus v's own live adjacency: the set of live
+// vertices within k hops of v, and for each of them (v included) its live
+// adjacency restricted to the ball. Everything is hashed over node IDs,
+// never base indices, so fingerprints are comparable across views over
+// structurally different base graphs: two views agree on the fingerprint
+// iff v's k-hop neighbourhood is identical as a labelled graph (modulo
+// 64-bit hash collisions). Returns 0 when v is dead or absent — 0 is
+// reserved and never produced for a live vertex.
+//
+// Each vertex hashes on its own (its ID, then its restricted adjacency in
+// increasing ID order), and the ball's hashes are summed: the sum of a set
+// does not depend on the order it is visited in, so the BFS order needs no
+// sort.
 //
 // This is the memo key of the streaming engine's verdict cache
 // (internal/stream): a cover re-election may rebuild the base CSR many
@@ -224,26 +245,26 @@ func (d *DeleteView) NeighborhoodFingerprint(v NodeID, k int, s *Scratch) uint64
 	if !ok || d.gone[vi] {
 		return 0
 	}
-	// ballIdx stamps every visited vertex (vi included) with the current
-	// epoch; the stamps stay valid until s is next used, which is exactly
-	// the membership test the restriction needs.
-	ball := d.ballIdx(vi, k, s)
+	// bfsIdx stamps exactly the ball and v, all live, with the current
+	// epoch — the membership test the restriction needs.
+	visited := d.bfsIdx(vi, k, s)
 	ep := s.epoch
-	h := uint64(fnvOffset64)
-	h = fnvMix(h, uint64(len(ball))+1)
 	hashAdj := func(xi int32) uint64 {
-		h = fnvMix(h, uint64(d.g.ids[xi]))
+		h := mixWord(mixSeed, uint64(d.g.ids[xi]))
 		for _, w := range d.g.adj[xi] {
-			if !d.gone[w] && s.stamp[w] == ep {
-				h = fnvMix(h, uint64(d.g.ids[w])^0x9e3779b97f4a7c15)
+			if s.stamp[w] == ep {
+				h = mixWord(h, uint64(d.g.ids[w])^0x9e3779b97f4a7c15)
 			}
 		}
-		return fnvMix(h, 0xfe)
+		return mixWord(h, 0xfe)
 	}
-	h = hashAdj(int32(vi))
-	for _, bi := range ball {
-		h = hashAdj(bi)
+	var sum uint64
+	for _, bi := range visited[1:] {
+		sum += hashAdj(bi)
 	}
+	h := mixWord(mixSeed, uint64(len(visited)))
+	h = mixWord(h, hashAdj(int32(vi)))
+	h = mixWord(h, sum)
 	if h == 0 {
 		h = 1 // keep 0 as the dead/absent sentinel
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -340,6 +341,122 @@ func TestScratchReuseAcrossGraphs(t *testing.T) {
 			want := live.InducedSubgraph(live.KHopNeighbors(v, 2))
 			if !reflect.DeepEqual(sub, want) {
 				t.Fatalf("trial %d: scratch reuse corrupted extraction at %d", trial, v)
+			}
+		}
+	}
+}
+
+// ballEncoding is an independent, collision-free rendering of what
+// NeighborhoodFingerprint hashes: the labelled k-ball of v plus v's own
+// adjacency, each restricted to {v} ∪ ball.
+func ballEncoding(g *Graph, v NodeID, k int) string {
+	ball := g.KHopNeighbors(v, k)
+	in := map[NodeID]bool{v: true}
+	for _, w := range ball {
+		in[w] = true
+	}
+	enc := fmt.Sprint(len(ball))
+	for _, x := range append([]NodeID{v}, ball...) {
+		enc += fmt.Sprintf("|%d:", x)
+		for _, w := range g.Neighbors(x) {
+			if in[w] {
+				enc += fmt.Sprintf("%d,", w)
+			}
+		}
+	}
+	return enc
+}
+
+// withEdgeToggled returns a copy of g with the edge {a, b} flipped.
+func withEdgeToggled(g *Graph, a, b NodeID) *Graph {
+	nb := NewBuilder()
+	for _, v := range g.Nodes() {
+		nb.AddNode(v)
+	}
+	for _, e := range g.Edges() {
+		if e != NormEdge(a, b) {
+			nb.AddEdge(e.U, e.V)
+		}
+	}
+	if !g.HasEdge(a, b) {
+		nb.AddEdge(a, b)
+	}
+	return nb.MustBuild()
+}
+
+// TestNeighborhoodFingerprintMixer guards the word mixer behind the
+// fingerprint against degenerate collisions on random graphs: equal
+// labelled k-balls fingerprint equally (also over a base graph that keeps
+// only the ball and grows unrelated vertices beyond it), every
+// single-vertex deletion and every edge toggle inside the ball changes the
+// fingerprint, and across all balls seen, fingerprint equality coincides
+// with equality of an independent exact encoding.
+func TestNeighborhoodFingerprintMixer(t *testing.T) {
+	s := NewScratch(nil)
+	r := rand.New(rand.NewSource(41))
+	seen := map[uint64]string{}
+	record := func(fp uint64, enc string) {
+		t.Helper()
+		if prev, ok := seen[fp]; ok && prev != enc {
+			t.Fatalf("fingerprint %x shared by distinct neighbourhoods:\n%s\n%s", fp, prev, enc)
+		}
+		seen[fp] = enc
+	}
+	for trial := 0; trial < 40; trial++ {
+		g := randomGraph(r, 6+r.Intn(18), 0.1+r.Float64()*0.3)
+		view := NewDeleteView(g)
+		for _, v := range g.Nodes() {
+			if r.Intn(3) != 0 {
+				continue
+			}
+			k := 1 + r.Intn(3)
+			fp := view.NeighborhoodFingerprint(v, k, s)
+			record(fp, ballEncoding(g, v, k))
+
+			// The same labelled ball over a different base: only the ball,
+			// plus a pendant vertex past every ball vertex at distance k.
+			ball := g.KHopNeighbors(v, k)
+			b := NewBuilder()
+			sub := g.InducedSubgraph(append([]NodeID{v}, ball...))
+			for _, x := range sub.Nodes() {
+				b.AddNode(x)
+			}
+			for _, e := range sub.Edges() {
+				b.AddEdge(e.U, e.V)
+			}
+			inner := map[NodeID]bool{}
+			for _, x := range g.KHopNeighbors(v, k-1) {
+				inner[x] = true
+			}
+			for i, x := range ball {
+				if !inner[x] {
+					b.AddEdge(x, NodeID(1000+i))
+				}
+			}
+			if got := NewDeleteView(b.MustBuild()).NeighborhoodFingerprint(v, k, s); got != fp {
+				t.Fatalf("trial %d: equal %d-balls of %d fingerprint %x and %x", trial, k, v, fp, got)
+			}
+
+			for _, u := range ball {
+				view.Delete(u)
+				got := view.NeighborhoodFingerprint(v, k, s)
+				view.Restore(u)
+				if got == fp {
+					t.Fatalf("trial %d: deleting %d from the %d-ball of %d left fingerprint %x", trial, u, k, v, fp)
+				}
+				record(got, ballEncoding(g.DeleteVertices([]NodeID{u}), v, k))
+			}
+
+			members := append([]NodeID{v}, ball...)
+			for i, a := range members {
+				for _, c := range members[i+1:] {
+					tg := withEdgeToggled(g, a, c)
+					got := NewDeleteView(tg).NeighborhoodFingerprint(v, k, s)
+					if got == fp {
+						t.Fatalf("trial %d: toggling edge %d-%d in the %d-ball of %d left fingerprint %x", trial, a, c, k, v, fp)
+					}
+					record(got, ballEncoding(tg, v, k))
+				}
 			}
 		}
 	}

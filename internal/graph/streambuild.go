@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // StreamBuilder accumulates node and edge records in flat append-only
@@ -67,7 +68,7 @@ func (b *StreamBuilder) Build() (*Graph, error) {
 		}
 		ids = append(ids, e.U, e.V)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	w := 0
 	for i, v := range ids {
 		if i > 0 && ids[i-1] == v {
@@ -80,11 +81,11 @@ func (b *StreamBuilder) Build() (*Graph, error) {
 
 	// Edge list: sort by (U,V), dedup in place.
 	edges := b.edges
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return edges[i].V < edges[j].V
+		return cmp.Compare(a.V, b.V)
 	})
 	w = 0
 	for i, e := range edges {

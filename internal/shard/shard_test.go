@@ -47,7 +47,6 @@ func canonicalResult(t *testing.T, in Input, tau int, seed int64) core.Result {
 			Rounds:    1,
 			Tests:     tests,
 			Deletions: len(deleted),
-			Deleted:   len(deleted),
 		},
 	}
 }

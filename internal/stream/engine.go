@@ -81,9 +81,12 @@ type Stats struct {
 	Duplicates int // watermark redeliveries dropped silently
 	Coalesced  int // mobility ticks absorbed by a pending tick
 
-	// Topology.
-	Rebuilds     int // CSR recompilations (structural events)
-	FastRestores int // rejoins served by the O(1) overlay Restore
+	// Topology. Rebuilds counts structural events: joins that add a node
+	// or change its edges, geometric moves, and edge churn. Each marks the
+	// CSR base stale; the next election compiles it once (one
+	// stream.rebuild span, however many events the window held).
+	Rebuilds     int
+	FastRestores int // rejoins that only flipped liveness, keeping the edge set
 
 	// Election.
 	Elections  int

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"sort"
 
 	"dcc/internal/geom"
@@ -14,10 +15,11 @@ import (
 // set, and a compiled CSR base graph with a liveness overlay.
 //
 // Two mutation tiers keep the hot path hot. Liveness-only changes (leave,
-// crash, rejoin-in-place) flip the overlay without touching the CSR.
-// Structural changes (new node, edge churn, geometric moves) edit the
-// universe slices and recompile the base — O(n+m), amortized fine at event
-// granularity and batched under backpressure.
+// crash, rejoin-in-place) flip the dead flag, and the overlay too while
+// the base is compiled. Structural changes (new node, edge churn,
+// geometric moves) edit the universe slices and mark the base stale; the
+// next liveGraph compiles it once, so a burst of structural events between
+// two elections costs one O(n+m) compile, not one per event.
 type topology struct {
 	radius float64 // > 0: unit-disk edges derived from positions
 
@@ -25,30 +27,31 @@ type topology struct {
 	pos   []geom.Point   // parallel to ids
 	dead  []bool         // parallel to ids
 	edges []graph.Edge   // normalized (U < V), sorted
+	live  int            // number of false entries in dead
 
-	base    *graph.Graph
-	view    *graph.DeleteView
-	scratch *graph.Scratch
+	// base and view mirror the universe slices only while !stale.
+	stale bool
+	base  *graph.Graph
+	view  *graph.DeleteView
 
-	stats *Stats              // rebuild / fast-restore counters, owned by the engine
+	stats *Stats              // structural-event / fast-restore counters, owned by the engine
 	tel   *telemetry.Registry // rebuild span source; nil when telemetry is off
 }
 
 func newTopology(g *graph.Graph, radius float64, pos []geom.Point, stats *Stats) *topology {
-	t := &topology{
+	// The genesis graph is its own compilation: Nodes() and Edges() come
+	// back sorted, so recompiling would reproduce g exactly.
+	return &topology{
 		radius: radius,
 		ids:    g.Nodes(),
 		pos:    pos,
 		dead:   make([]bool, g.NumNodes()),
 		edges:  g.Edges(),
+		live:   g.NumNodes(),
+		base:   g,
+		view:   graph.NewDeleteView(g),
 		stats:  stats,
 	}
-	// The genesis graph is its own compilation: Nodes() and Edges() come
-	// back sorted, so recompiling would reproduce g exactly.
-	t.base = g
-	t.view = graph.NewDeleteView(g)
-	t.scratch = graph.NewScratch(g)
-	return t
 }
 
 // find locates v in the sorted universe.
@@ -62,17 +65,24 @@ func (t *topology) alive(v graph.NodeID) bool {
 	return ok && !t.dead[i]
 }
 
-// liveGraph materializes the live induced subgraph.
-func (t *topology) liveGraph() *graph.Graph { return t.view.Materialize() }
+// liveGraph materializes the live induced subgraph, compiling the base
+// first if a structural change left it stale.
+func (t *topology) liveGraph() *graph.Graph {
+	if t.stale {
+		t.compile()
+	}
+	return t.view.Materialize()
+}
 
-func (t *topology) liveCount() int { return t.view.NumLive() }
+// liveCount never compiles: publish reads it on every Ingest.
+func (t *topology) liveCount() int { return t.live }
 
-// rebuild recompiles the CSR base from the universe slices and replays the
+// compile builds the CSR base from the universe slices and replays the
 // dead flags onto a fresh overlay.
-func (t *topology) rebuild() {
+func (t *topology) compile() {
 	sp := t.tel.StartSpan("stream.rebuild")
 	defer sp.End()
-	b := graph.NewBuilder()
+	b := graph.NewStreamBuilder(len(t.ids), len(t.edges))
 	for _, v := range t.ids {
 		b.AddNode(v)
 	}
@@ -81,13 +91,53 @@ func (t *topology) rebuild() {
 	}
 	t.base = b.MustBuild()
 	t.view = graph.NewDeleteView(t.base)
-	t.scratch = graph.NewScratch(t.base)
 	for i, d := range t.dead {
 		if d {
 			t.view.Delete(t.ids[i])
 		}
 	}
+	t.stale = false
+}
+
+// install replaces the universe wholesale (snapshot recovery) and marks
+// the base stale. It is not topology churn, so Stats.Rebuilds is left
+// alone.
+func (t *topology) install(ids []graph.NodeID, pos []geom.Point, dead []bool, edges []graph.Edge) {
+	t.ids, t.pos, t.dead, t.edges = ids, pos, dead, edges
+	t.live = 0
+	for _, d := range dead {
+		if !d {
+			t.live++
+		}
+	}
+	t.stale = true
+}
+
+// structural records a structural event: the base goes stale and the
+// event counts toward Stats.Rebuilds.
+func (t *topology) structural() {
+	t.stale = true
 	t.stats.Rebuilds++
+}
+
+// setDead flips the liveness of universe member i (the engine has
+// validated that it changes), mirroring it onto the overlay while the base
+// is compiled.
+func (t *topology) setDead(i int, dead bool) {
+	t.dead[i] = dead
+	if dead {
+		t.live--
+	} else {
+		t.live++
+	}
+	if t.stale {
+		return
+	}
+	if dead {
+		t.view.Delete(t.ids[i])
+	} else {
+		t.view.Restore(t.ids[i])
+	}
 }
 
 // edgeIndex locates the normalized edge in the sorted universe edge list.
@@ -154,67 +204,60 @@ func (t *topology) deriveNeighbors(v graph.NodeID, p geom.Point) []graph.NodeID 
 
 // retainedLiveNeighbors returns, sorted, the live universe neighbors v
 // would reconnect to if revived in place — the Restore fast-path candidate
-// set.
+// set. It reads the universe edge list, never the compiled base, so it is
+// exact while the base is stale. Edges are (U,V)-sorted, so v's lower
+// neighbors (edges ending at v) come first in ascending order, then its
+// higher ones (edges starting at v); no edge past U = v touches v.
 func (t *topology) retainedLiveNeighbors(v graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
-	for _, w := range t.base.Neighbors(v) {
-		if j, ok := t.find(w); ok && !t.dead[j] {
+	for _, e := range t.edges {
+		w := e.U
+		switch {
+		case e.U > v:
+			return out
+		case e.U == v:
+			w = e.V
+		case e.V != v:
+			continue
+		}
+		if t.alive(w) {
 			out = append(out, w)
 		}
 	}
 	return out
 }
 
-func sameNodeList(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // join places node v at p, either as a brand-new universe member or as a
 // revival of a departed one. Revival in place — identical position and, in
 // geometric mode, a derived neighbor set identical to the retained one —
-// takes the O(1) overlay Restore; everything else is structural.
+// is a liveness flip; everything else is structural.
 func (t *topology) join(v graph.NodeID, p geom.Point) {
 	i, ok := t.find(v)
 	if ok {
 		// Revival of a departed node. In explicit-topology mode the node
 		// always comes back with its retained universe edges (position is
-		// metadata), so revival is always the O(1) overlay flip; in
-		// geometric mode only an in-place revival whose derived neighbor
-		// set still matches the retained one can skip the recompile.
+		// metadata), so revival is always a liveness flip; in geometric
+		// mode only an in-place revival whose derived neighbor set still
+		// matches the retained one leaves the edge set alone.
 		if t.radius <= 0 {
 			t.pos[i] = p
-			t.view.Restore(v)
-			t.dead[i] = false
+			t.setDead(i, false)
 			t.stats.FastRestores++
 			return
 		}
 		if t.pos[i] == p &&
-			sameNodeList(t.deriveNeighbors(v, p), t.retainedLiveNeighbors(v)) {
-			t.view.Restore(v)
-			t.dead[i] = false
+			slices.Equal(t.deriveNeighbors(v, p), t.retainedLiveNeighbors(v)) {
+			t.setDead(i, false)
 			t.stats.FastRestores++
 			return
 		}
 		t.pos[i] = p
-		t.dead[i] = false
+		t.setDead(i, false)
 	} else {
-		t.ids = append(t.ids, 0)
-		copy(t.ids[i+1:], t.ids[i:])
-		t.ids[i] = v
-		t.pos = append(t.pos, geom.Point{})
-		copy(t.pos[i+1:], t.pos[i:])
-		t.pos[i] = p
-		t.dead = append(t.dead, false)
-		copy(t.dead[i+1:], t.dead[i:])
-		t.dead[i] = false
+		t.ids = slices.Insert(t.ids, i, v)
+		t.pos = slices.Insert(t.pos, i, p)
+		t.dead = slices.Insert(t.dead, i, false)
+		t.live++
 	}
 	t.removeIncident(v)
 	if t.radius > 0 {
@@ -222,15 +265,14 @@ func (t *topology) join(v graph.NodeID, p geom.Point) {
 			t.insertEdge(graph.NormEdge(v, w))
 		}
 	}
-	t.rebuild()
+	t.structural()
 }
 
-// depart marks a live node dead: an O(1) overlay flip. Its universe edges
-// are retained for a potential in-place revival.
+// depart marks a live node dead: a liveness flip. Its universe edges are
+// retained for a potential in-place revival.
 func (t *topology) depart(v graph.NodeID) {
 	i, _ := t.find(v)
-	t.dead[i] = true
-	t.view.Delete(v)
+	t.setDead(i, true)
 }
 
 // move updates v's position. In explicit-topology mode position is pure
@@ -248,17 +290,17 @@ func (t *topology) move(v graph.NodeID, p geom.Point) {
 	for _, w := range t.deriveNeighbors(v, p) {
 		t.insertEdge(graph.NormEdge(v, w))
 	}
-	t.rebuild()
+	t.structural()
 }
 
 // edgeUp / edgeDown edit the explicit universe edge set; the engine has
 // already validated liveness, existence and mode.
 func (t *topology) edgeUp(u, v graph.NodeID) {
 	t.insertEdge(graph.NormEdge(u, v))
-	t.rebuild()
+	t.structural()
 }
 
 func (t *topology) edgeDown(u, v graph.NodeID) {
 	t.removeEdge(graph.NormEdge(u, v))
-	t.rebuild()
+	t.structural()
 }

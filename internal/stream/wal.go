@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"dcc/internal/core"
 	"dcc/internal/geom"
@@ -290,14 +291,11 @@ func Recover(net core.Network, cfg Config, snapshot, wal io.Reader) (*Engine, Re
 			return nil, info, fmt.Errorf("%w: snapshot taken under tau=%d seed=%d radius=%v",
 				ErrConfigMismatch, s.tau, s.seed, s.radius)
 		}
-		if !sameNodeList(s.boundary, e.boundarySorted) || !sameCycles(s.cycles, e.cycles) {
+		if !slices.Equal(s.boundary, e.boundarySorted) || !slices.EqualFunc(s.cycles, e.cycles, slices.Equal[[]graph.NodeID]) {
 			return nil, info, fmt.Errorf("%w: snapshot boundary structure differs from the genesis network",
 				ErrConfigMismatch)
 		}
-		t := e.topo
-		t.ids, t.pos, t.dead, t.edges = s.ids, s.pos, s.dead, s.edges
-		t.rebuild()
-		e.stats.Rebuilds-- // installation is not topology churn
+		e.topo.install(s.ids, s.pos, s.dead, s.edges)
 		e.watermark = s.watermark
 		e.coverStale = true
 		info.FromSnapshot = true
@@ -389,16 +387,4 @@ func (e *Engine) replayWAL(rr *trace.RecordReader, info *RecoveryInfo) error {
 		}
 		info.Replayed++
 	}
-}
-
-func sameCycles(a, b [][]graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !sameNodeList(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }

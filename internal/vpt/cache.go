@@ -1,7 +1,7 @@
 package vpt
 
 import (
-	"sort"
+	"slices"
 
 	"dcc/internal/cycles"
 	"dcc/internal/graph"
@@ -166,7 +166,7 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 //lint:hotpath
 func (c *Cache) Deletable(v graph.NodeID) bool {
 	i, ok := c.g.IndexOf(v)
-	if !ok || !c.view.Alive(v) {
+	if !ok || !c.view.LiveAt(i) {
 		return false
 	}
 	c.stats.Lookups++
@@ -197,7 +197,7 @@ func (c *Cache) ComputeFresh(v graph.NodeID, s *graph.Scratch, t *Tester) bool {
 // computation and the store.
 func (c *Cache) Store(v graph.NodeID, deletable bool) {
 	i, ok := c.g.IndexOf(v)
-	if !ok || !c.view.Alive(v) {
+	if !ok || !c.view.LiveAt(i) {
 		return
 	}
 	if deletable {
@@ -298,14 +298,13 @@ func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
 			}
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	slices.Sort(dirty)
 	out := make([]graph.NodeID, 0, len(dirty))
 	for i, bi := range dirty {
 		if i > 0 && dirty[i-1] == bi {
 			continue
 		}
-		id := c.g.NodeAt(int(bi))
-		if !c.view.Alive(id) {
+		if !c.view.LiveAt(int(bi)) {
 			continue // removed alongside v in the same batch
 		}
 		if c.verdict[bi] != verdictUnknown {
@@ -313,7 +312,7 @@ func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
 			c.telInvalidated.Inc()
 		}
 		c.verdict[bi] = verdictUnknown
-		out = append(out, id)
+		out = append(out, c.g.NodeAt(int(bi)))
 	}
 	c.telDirty.Observe(int64(len(out)))
 	debugAuditClean(c)

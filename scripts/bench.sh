@@ -1,17 +1,7 @@
 #!/bin/sh
-# Benchmarks the scheduling engine: times Figure 3 regeneration with the
-# worker pool at 1 worker (sequential) and at N workers (one per CPU), then
-# writes two JSON records at the repo root:
+# Benchmarks the streaming and sharded engines and writes JSON records at
+# the repo root:
 #
-#   BENCH_parallel.json     — the worker-pool scaling record (current run)
-#   BENCH_incremental.json  — the incremental-engine record: current
-#                             sequential/parallel times against the
-#                             baseline sequential time recorded in
-#                             BENCH_parallel.json *before* this run (i.e.
-#                             the committed pre-change figure), with the
-#                             speedup targets of the incremental
-#                             deletability engine (≥2× sequential vs
-#                             baseline, parallel speedup > 1.0)
 #   BENCH_stream.json       — the streaming-engine record: sustained
 #                             events/sec under coalescing backpressure and
 #                             p50/p99 per-event update latency (stepped,
@@ -24,8 +14,11 @@
 #                             (default 100000; SHARD_NODES=1000000 for the
 #                             full million-node run)
 #
-# Output is byte-identical across worker counts (the engine's determinism
-# contract; see DESIGN.md §9) — only wall-clock changes. Usage:
+# Figure 3 timing lives in perfbench (workload fig3-dense), which measures
+# every end-to-end metric against a fixed parent checkout instead of a
+# committed baseline. Output is byte-identical across worker counts (the
+# engine's determinism contract; see DESIGN.md §9) — only wall-clock
+# changes. Usage:
 #
 #   scripts/bench.sh [runs] [nodes]
 #
@@ -38,78 +31,7 @@ NODES=${2:-150}
 WORKERS=${WORKERS:-4}
 CPUS=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 
-# Baseline: the sequential figure recorded by the previous committed run.
-BASELINE=$(awk -F': *|,' '/"sequential_seconds"/ { print $2 }' BENCH_parallel.json 2>/dev/null || echo "")
-
 go build -o /tmp/dccsim.bench ./cmd/dccsim
-
-# time_fig WORKERS -> seconds (fractional) on stdout: min of REPS runs,
-# damping scheduler noise on small/shared machines.
-REPS=${REPS:-2}
-time_fig() {
-    best=""
-    i=0
-    while [ "$i" -lt "$REPS" ]; do
-        start=$(date +%s%N)
-        /tmp/dccsim.bench -fig 3 -runs "$RUNS" -nodes "$NODES" -workers "$1" >/dev/null
-        end=$(date +%s%N)
-        t=$(awk "BEGIN { printf \"%.3f\", ($end - $start) / 1e9 }")
-        if [ -z "$best" ] || awk "BEGIN { exit !($t < $best) }"; then
-            best=$t
-        fi
-        i=$((i + 1))
-    done
-    printf '%s' "$best"
-}
-
-echo "== bench: Figure 3, runs=$RUNS nodes=$NODES cpus=$CPUS"
-T1=$(time_fig 1)
-echo "   workers=1:        ${T1}s"
-TN=$(time_fig "$WORKERS")
-echo "   workers=$WORKERS:        ${TN}s"
-
-SPEEDUP=$(awk "BEGIN { printf \"%.2f\", $T1 / $TN }")
-echo "   speedup:          ${SPEEDUP}x"
-
-# speedup ≈ min(cpus, workers) on an otherwise idle machine; on a 1-CPU
-# box the two timings coincide and speedup ≈ 1.0 by construction.
-cat > BENCH_parallel.json <<EOF
-{
-  "bench": "figure3",
-  "runs": $RUNS,
-  "nodes": $NODES,
-  "cpus": $CPUS,
-  "sequential_workers": 1,
-  "sequential_seconds": $T1,
-  "parallel_workers": $WORKERS,
-  "parallel_seconds": $TN,
-  "speedup": $SPEEDUP
-}
-EOF
-echo "== wrote BENCH_parallel.json"
-
-if [ -n "$BASELINE" ]; then
-    INCR=$(awk "BEGIN { printf \"%.2f\", $BASELINE / $T1 }")
-else
-    BASELINE=null
-    INCR=null
-fi
-cat > BENCH_incremental.json <<EOF
-{
-  "bench": "figure3-incremental",
-  "runs": $RUNS,
-  "nodes": $NODES,
-  "cpus": $CPUS,
-  "baseline_sequential_seconds": $BASELINE,
-  "sequential_seconds": $T1,
-  "parallel_workers": $WORKERS,
-  "parallel_seconds": $TN,
-  "sequential_speedup_vs_baseline": $INCR,
-  "parallel_speedup": $SPEEDUP,
-  "targets": { "sequential_speedup_vs_baseline": 2.0, "parallel_speedup": 1.0 }
-}
-EOF
-echo "== wrote BENCH_incremental.json (baseline ${BASELINE}s -> ${T1}s, ${INCR}x)"
 
 echo "== bench: streaming replay, nodes=$NODES"
 STREAM_LINE=$(/tmp/dccsim.bench -fig streaming -runs 2 -nodes "$NODES" -workers "$WORKERS" \
@@ -191,11 +113,7 @@ STAMP=$(date -u +%Y-%m-%dT%H:%M:%SZ)
     printf '    "platform": "%s/%s",\n' "$(go env GOOS)" "$(go env GOARCH)"
     printf '    "cpus": %s,\n' "$CPUS"
     printf '    "runs": %s,\n    "nodes": %s,\n    "workers": %s\n  },\n' "$RUNS" "$NODES" "$WORKERS"
-    printf '  "benches": {\n    "parallel": '
-    cat BENCH_parallel.json
-    printf ',\n    "incremental": '
-    cat BENCH_incremental.json
-    printf ',\n    "stream": '
+    printf '  "benches": {\n    "stream": '
     cat BENCH_stream.json
     printf ',\n    "sharded": '
     cat BENCH_sharded.json

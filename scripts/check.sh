@@ -24,6 +24,12 @@ go vet ./...
 echo '== go build'
 go build ./...
 
+echo '== perfbench vet + test'
+# perfbench is a module of its own (dcc/perfbench, replace dcc => ../), so
+# ./... above skips it; its tests pin BENCHMARK.json to the program tables.
+go -C perfbench vet ./...
+go -C perfbench test ./...
+
 echo '== dcclint'
 go run ./cmd/dcclint ./...
 
