@@ -489,9 +489,10 @@ func (d *Deployment) ScheduleDCC(tau int, opts ScheduleOptions) (ScheduleResult,
 // canonical-mode centralized engine byte-for-byte and is invariant
 // under Workers, Shards and HaloHops — sharding changes how far the
 // deployment can scale (millions of nodes on one box), never what is
-// elected. Note the engine's deletion order is the canonical priority
-// order, not ScheduleDCC's seed-shuffled order, so results match across
-// shard counts and runs, not ScheduleDCC's output.
+// elected. Note the engine replays the election loop in canonical
+// priority order, whereas ScheduleDCC runs the same loop in FIFO order
+// over a seed shuffle (or MIS rounds when Parallel is set), so results
+// match across shard counts and runs, not ScheduleDCC's output.
 //
 // Multiply-connected deployments (obstacles) are rejected with
 // ErrShardedUnsupported: their repair introduces virtual apex nodes

@@ -2,18 +2,20 @@ package core
 
 import (
 	"container/heap"
+	"math/rand"
 
 	"dcc/internal/graph"
 	"dcc/internal/runner"
+	"dcc/internal/telemetry"
 	"dcc/internal/vpt"
 )
 
-// The canonical scheduling engine. Sequential and Parallel shuffle their
-// work orders from a live rand.Rand, so two runs over the same topology
-// agree only if they replay the same deletion history — which a streaming
-// engine that crashes, recovers, and batches events cannot promise.
-// Canonical removes the history: the deletion order is a fixed
-// priority-queue order whose per-node priorities are a pure function of
+// The election queue and the one election loop (elect) that Sequential,
+// Canonical and Rotate's duty order share; they differ only in the queue's
+// priority function. Sequential and Rotate derive their orders from a live
+// rand.Rand, so two runs agree only if they replay the same deletion
+// history — which a streaming engine that crashes, recovers, and batches
+// events cannot promise. Canonical's priorities are a pure function of
 // (seed, node ID), making the kept set a pure function of the topology.
 // That is the property the streaming layer's convergence contract stands
 // on (DESIGN.md §13): any two paths to the same materialized topology —
@@ -62,30 +64,45 @@ func (q *prioQueue) Pop() any {
 	return it
 }
 
-// ElectionQueue is the canonical election's work queue: a min-heap over
-// (CanonicalPriority, ID) with pending-set deduplication. Popping a node
-// marks it not-pending; pushing a node that is already pending is a no-op,
-// so a node is tested at most once per dirtying no matter how many commits
-// touched its neighbourhood. Exported so the spatial shard engine
-// (internal/shard) provably consumes nodes in the exact order the
-// unsharded CanonicalElect does — the queue is the shared definition of
-// "canonical order", not a convention.
+// ElectionQueue is the election's work queue: a min-heap over
+// (priority, ID) with pending-set deduplication. Popping a node marks it
+// not-pending; pushing a node that is already pending is a no-op, so a
+// node is tested at most once per dirtying no matter how many commits
+// touched its neighbourhood. NewElectionQueue orders by CanonicalPriority;
+// exported so the spatial shard engine (internal/shard) provably consumes
+// nodes in the exact order the unsharded CanonicalElect does — the queue
+// is the shared definition of "canonical order", not a convention.
 type ElectionQueue struct {
-	seed    int64
+	prio    func(graph.NodeID) uint64
 	q       prioQueue
 	pending map[graph.NodeID]bool
 }
 
-// NewElectionQueue returns a queue seeded with the given nodes, all
-// pending.
+// NewElectionQueue returns a canonical-order queue seeded with the given
+// nodes, all pending.
 func NewElectionQueue(seed int64, nodes []graph.NodeID) *ElectionQueue {
+	return newElectionQueue(nodes, func(v graph.NodeID) uint64 { return CanonicalPriority(seed, v) })
+}
+
+// newFIFOQueue returns a queue that pops nodes in the given order. FIFO is
+// a priority order: a node's priority is its enqueue count, so a re-push
+// takes the next count and lands behind every pending node.
+func newFIFOQueue(order []graph.NodeID) *ElectionQueue {
+	var count uint64
+	return newElectionQueue(order, func(graph.NodeID) uint64 {
+		count++
+		return count
+	})
+}
+
+func newElectionQueue(nodes []graph.NodeID, prio func(graph.NodeID) uint64) *ElectionQueue {
 	eq := &ElectionQueue{
-		seed:    seed,
+		prio:    prio,
 		q:       make(prioQueue, 0, len(nodes)),
 		pending: make(map[graph.NodeID]bool, len(nodes)),
 	}
 	for _, v := range nodes {
-		eq.q = append(eq.q, prioItem{prio: CanonicalPriority(seed, v), v: v})
+		eq.q = append(eq.q, prioItem{prio: prio(v), v: v})
 		eq.pending[v] = true
 	}
 	heap.Init(&eq.q)
@@ -129,27 +146,26 @@ func (eq *ElectionQueue) Peek() (prio uint64, v graph.NodeID, ok bool) {
 	return 0, 0, false
 }
 
-// Push marks v pending and enqueues it at its canonical priority; a no-op
-// if v is already pending. Used both to re-enqueue dirtied survivors and
-// to defer a popped node whose test must wait (the shard coordinator's
-// conflict push-back) — the priority is a pure function of (seed, ID), so
+// Push marks v pending and enqueues it at its priority; a no-op if v is
+// already pending. Used both to re-enqueue dirtied survivors and to defer
+// a popped node whose test must wait (the shard coordinator's conflict
+// push-back) — the canonical priority is a pure function of (seed, ID), so
 // a deferred node re-enters at exactly its canonical position.
 func (eq *ElectionQueue) Push(v graph.NodeID) {
 	if eq.pending[v] {
 		return
 	}
 	eq.pending[v] = true
-	heap.Push(&eq.q, prioItem{prio: CanonicalPriority(eq.seed, v), v: v})
+	heap.Push(&eq.q, prioItem{prio: eq.prio(v), v: v})
 }
 
-// CanonicalElect runs the canonical greedy to fixpoint over cache: internal
-// nodes are tested in increasing (CanonicalPriority, ID) order, a deletable
-// node is committed immediately, and the dirtied survivors re-enter the
-// queue. test supplies the deletability verdict of a node on the current
-// residual — cache.Deletable for the batch engine, the fingerprint-memoized
-// variant for the streaming engine — and MUST equal VertexDeletable on the
-// materialized live graph, or the fixpoint diverges from the canonical one.
-// Returns the deleted nodes in deletion order and the number of tests.
+// CanonicalElect runs the election loop to fixpoint over cache in
+// increasing (CanonicalPriority, ID) order. test supplies the deletability
+// verdict of a node on the current residual — cache.Deletable for the
+// batch engine, the fingerprint-memoized variant for the streaming engine
+// — and MUST equal VertexDeletable on the materialized live graph, or the
+// fixpoint diverges from the canonical one. Returns the deleted nodes in
+// deletion order and the number of tests.
 //
 // The loop body is shared by both engines on purpose: the convergence
 // contract ("streaming state equals the batch schedule of the materialized
@@ -159,11 +175,16 @@ func (eq *ElectionQueue) Push(v graph.NodeID) {
 // tests (pairwise more than ⌈τ/2⌉ hops apart), which DESIGN.md §15 proves
 // commutes with this sequential loop.
 func CanonicalElect(net Network, seed int64, cache *vpt.Cache, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
-	eq := NewElectionQueue(seed, net.InternalNodes())
+	return elect(net, NewElectionQueue(seed, net.InternalNodes()), cache, test)
+}
+
+// elect is the election loop: pop, skip the dead, test, commit a deletable
+// node and re-push the internal survivors Commit dirtied, until empty.
+func elect(net Network, eq *ElectionQueue, cache *vpt.Cache, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
 	for {
 		v, ok := eq.Pop()
 		if !ok {
-			break
+			return deleted, tests
 		}
 		if !cache.Alive(v) {
 			continue
@@ -179,13 +200,20 @@ func CanonicalElect(net Network, seed int64, cache *vpt.Cache, test func(v graph
 			}
 		}
 	}
-	return deleted, tests
 }
 
-func scheduleCanonical(net Network, opts Options) (Result, error) {
-	cache := vpt.NewCache(net.G, opts.Tau)
-	cache.Instrument(opts.Telemetry)
-	deleted, tests := CanonicalElect(net, opts.Seed, cache, cache.Deletable)
-	stats := Stats{Rounds: 1, Tests: tests}
-	return finishResult(net, cache.LiveGraph(), deleted, stats), nil
+// electSchedule runs elect over a fresh cache of net.G at tau with the
+// given queue and packages the outcome as a one-round Result.
+func electSchedule(net Network, tau int, reg *telemetry.Registry, eq *ElectionQueue) Result {
+	cache := vpt.NewCache(net.G, tau)
+	cache.Instrument(reg)
+	deleted, tests := elect(net, eq, cache, cache.Deletable)
+	return finishResult(net, cache.LiveGraph(), deleted, Stats{Rounds: 1, Tests: tests})
+}
+
+// shuffled shuffles nodes in place with a rand.Rand seeded by seed.
+func shuffled(nodes []graph.NodeID, seed int64) []graph.NodeID {
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+	return nodes
 }

@@ -199,4 +199,37 @@ func TestElectionQueueContract(t *testing.T) {
 	if _, w, ok := eq2.Peek(); !ok || w == first {
 		t.Fatalf("Peek = (%d, %v), want the remaining pending node", w, ok)
 	}
+
+	t.Run("fifo", func(t *testing.T) {
+		// The FIFO order Sequential and Rotate run on: nodes pop in the
+		// order given, a re-pushed node pops after every node still
+		// pending, and pushing a pending node does nothing.
+		eq := newFIFOQueue([]graph.NodeID{4, 0, 3, 1, 2})
+		var order []graph.NodeID
+		pop := func() {
+			t.Helper()
+			v, ok := eq.Pop()
+			if !ok {
+				t.Fatalf("Pop on a non-empty FIFO queue failed after %v", order)
+			}
+			order = append(order, v)
+		}
+		pop()
+		pop()
+		eq.Push(4) // popped: re-enters behind 3, 1, 2
+		eq.Push(3) // still pending: no-op
+		eq.Push(4) // pending again: no-op
+		pop()
+		eq.Push(0) // popped: re-enters behind 1, 2, 4
+		for eq.Len() > 0 {
+			pop()
+		}
+		want := []graph.NodeID{4, 0, 3, 1, 2, 4, 0}
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("FIFO pop order = %v, want %v", order, want)
+		}
+		if _, ok := eq.Pop(); ok {
+			t.Fatal("Pop on an exhausted FIFO queue returned ok")
+		}
+	})
 }

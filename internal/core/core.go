@@ -10,12 +10,13 @@
 // (Propositions 2/3) and from which no further node can be removed by the
 // void-preserving transformation.
 //
-// Two scheduling engines are provided:
-//
-//   - sequential maximal vertex deletion (the reference oracle), and
-//   - round-based parallel deletion via m-hop maximal independent sets,
-//     the structure the distributed runtime (internal/dist) realises with
-//     real message passing.
+// Sequential deletion is one election loop whose order is a queue
+// priority (canonical.go): Sequential (FIFO over a seed shuffle, the
+// reference oracle), Canonical ((seed, ID)-derived priorities, the order
+// the streaming and shard engines reproduce) and Rotate's duty order.
+// Parallel deletes m-hop maximal independent sets in rounds, the
+// structure the distributed runtime (internal/dist) realises with real
+// message passing.
 package core
 
 import (
@@ -221,28 +222,25 @@ func Schedule(net Network, opts Options) (Result, error) {
 	}
 	sp := opts.Telemetry.StartSpan("core.schedule")
 	defer sp.End()
-	var (
-		res Result
-		err error
-	)
+	var res Result
 	switch opts.Mode {
 	case Sequential:
-		res, err = scheduleSequential(net, opts)
+		res = electSchedule(net, opts.Tau, opts.Telemetry, newFIFOQueue(shuffled(net.InternalNodes(), opts.Seed)))
 	case Parallel:
-		res, err = scheduleParallel(net, opts)
+		res = scheduleParallel(net, opts)
 	case Canonical:
-		res, err = scheduleCanonical(net, opts)
+		res = electSchedule(net, opts.Tau, opts.Telemetry, NewElectionQueue(opts.Seed, net.InternalNodes()))
 	default:
 		return Result{}, fmt.Errorf("core: unknown mode %d", opts.Mode)
 	}
-	if err == nil && opts.Telemetry != nil {
+	if opts.Telemetry != nil {
 		reg := opts.Telemetry
 		reg.Counter("core.runs").Inc()
 		reg.Counter("core.rounds").Add(int64(res.Stats.Rounds))
 		reg.Counter("core.tests").Add(int64(res.Stats.Tests))
 		reg.Counter("core.deletions").Add(int64(res.Stats.Deletions))
 	}
-	return res, err
+	return res, nil
 }
 
 func finishResult(net Network, g *graph.Graph, deleted []graph.NodeID, stats Stats) Result {
@@ -261,44 +259,6 @@ func finishResult(net Network, g *graph.Graph, deleted []graph.NodeID, stats Sta
 		Deleted:      deleted,
 		Stats:        stats,
 	}
-}
-
-func scheduleSequential(net Network, opts Options) (Result, error) {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	cache := vpt.NewCache(net.G, opts.Tau)
-	cache.Instrument(opts.Telemetry)
-
-	queue := net.InternalNodes()
-	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-	inQueue := make(map[graph.NodeID]bool, len(queue))
-	for _, v := range queue {
-		inQueue[v] = true
-	}
-
-	var deleted []graph.NodeID
-	stats := Stats{Rounds: 1}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		inQueue[v] = false
-		if !cache.Alive(v) {
-			continue
-		}
-		stats.Tests++
-		if !cache.Deletable(v) {
-			continue
-		}
-		deleted = append(deleted, v)
-		// Commit invalidates exactly the ≤ k-hop ball around v — the nodes
-		// whose Γ^k contained v — and returns them for retesting.
-		for _, w := range cache.Commit([]graph.NodeID{v}) {
-			if !net.Boundary[w] && !inQueue[w] {
-				inQueue[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return finishResult(net, cache.LiveGraph(), deleted, stats), nil
 }
 
 // testChunk is the fan-out batch size for cache-miss deletability tests in
@@ -362,7 +322,7 @@ func cachedVerdicts(cache *vpt.Cache, toTest []graph.NodeID, workers int) []bool
 	return out
 }
 
-func scheduleParallel(net Network, opts Options) (Result, error) {
+func scheduleParallel(net Network, opts Options) Result {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	cache := vpt.NewCache(net.G, opts.Tau)
 	cache.Instrument(opts.Telemetry)
@@ -440,7 +400,7 @@ func scheduleParallel(net Network, opts Options) (Result, error) {
 			}
 		}
 	}
-	return finishResult(net, cache.LiveGraph(), deleted, stats), nil
+	return finishResult(net, cache.LiveGraph(), deleted, stats)
 }
 
 // VerifyNonRedundant checks Definition 6 on a scheduling result: removing

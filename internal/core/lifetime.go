@@ -75,12 +75,17 @@ type RotationResult struct {
 // have worked the least so far, extending network lifetime.
 //
 // Rotation biases the deletion order — nodes with higher accumulated duty
-// are offered for deletion first — so the scheduler (which deletes
+// are offered for deletion first — so the election loop (which deletes
 // greedily) preferentially retires tired nodes while the coverage
 // guarantee of every epoch is identical to a fresh Schedule run.
+// Rotate reads only opts.Tau and opts.Seed; Mode, Workers and Telemetry
+// are ignored.
 func Rotate(net Network, opts Options, epochs int) ([]RotationResult, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Tau < 3 {
+		return nil, fmt.Errorf("core: tau %d: %w", opts.Tau, ErrTauTooSmall)
 	}
 	if epochs <= 0 {
 		return nil, fmt.Errorf("core: epochs %d <= 0", epochs)
@@ -88,10 +93,7 @@ func Rotate(net Network, opts Options, epochs int) ([]RotationResult, error) {
 	duty := make(map[graph.NodeID]int, net.G.NumNodes())
 	var out []RotationResult
 	for epoch := 1; epoch <= epochs; epoch++ {
-		res, err := scheduleBiased(net, opts, duty, int64(epoch))
-		if err != nil {
-			return nil, err
-		}
+		res := rotateEpoch(net, opts, duty, epoch)
 		for _, v := range res.KeptInternal {
 			duty[v]++
 		}
@@ -104,46 +106,13 @@ func Rotate(net Network, opts Options, epochs int) ([]RotationResult, error) {
 	return out, nil
 }
 
-// scheduleBiased is the sequential engine with a duty-aware deletion order:
-// high-duty nodes are tested (and thus deleted) first, ties broken by a
-// seeded shuffle.
-func scheduleBiased(net Network, opts Options, duty map[graph.NodeID]int, salt int64) (Result, error) {
-	if opts.Tau < 3 {
-		return Result{}, fmt.Errorf("core: tau %d: %w", opts.Tau, ErrTauTooSmall)
-	}
-	rng := rand.New(rand.NewSource(runner.DeriveSeed(opts.Seed, streamBiasedShuffle, int(salt))))
-	cache := vpt.NewCache(net.G, opts.Tau)
-
-	queue := net.InternalNodes()
-	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-	sort.SliceStable(queue, func(i, j int) bool {
-		return duty[queue[i]] > duty[queue[j]]
+// rotateEpoch elects one epoch's coverage set: the election loop over a
+// FIFO queue of the internal nodes, highest duty first, ties broken by a
+// shuffle seeded from (Seed, epoch).
+func rotateEpoch(net Network, opts Options, duty map[graph.NodeID]int, epoch int) Result {
+	order := shuffled(net.InternalNodes(), runner.DeriveSeed(opts.Seed, streamBiasedShuffle, epoch))
+	sort.SliceStable(order, func(i, j int) bool {
+		return duty[order[i]] > duty[order[j]]
 	})
-	inQueue := make(map[graph.NodeID]bool, len(queue))
-	for _, v := range queue {
-		inQueue[v] = true
-	}
-
-	var deleted []graph.NodeID
-	stats := Stats{Rounds: 1}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		inQueue[v] = false
-		if !cache.Alive(v) {
-			continue
-		}
-		stats.Tests++
-		if !cache.Deletable(v) {
-			continue
-		}
-		deleted = append(deleted, v)
-		for _, w := range cache.Commit([]graph.NodeID{v}) {
-			if !net.Boundary[w] && !inQueue[w] {
-				inQueue[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return finishResult(net, cache.LiveGraph(), deleted, stats), nil
+	return electSchedule(net, opts.Tau, nil, newFIFOQueue(order))
 }

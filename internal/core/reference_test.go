@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -188,16 +189,21 @@ func TestParallelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBiasedMatchesReference pins Rotate's duty-biased engine the same way.
+// TestBiasedMatchesReference pins Rotate's duty order the same way, across
+// confine sizes, epoch salts, and with and without accumulated duty.
 func TestBiasedMatchesReference(t *testing.T) {
 	net := denseNet(t, 5, 6, 6, 1.7)
-	duty := map[graph.NodeID]int{7: 3, 8: 1, 14: 2}
-	got, err := scheduleBiased(net, Options{Tau: 4, Seed: 5}, duty, 2)
-	if err != nil {
-		t.Fatal(err)
+	duties := []map[graph.NodeID]int{{}, {7: 3, 8: 1, 14: 2}}
+	for _, tau := range []int{3, 4, 6} {
+		for salt := 1; salt <= 3; salt++ {
+			for di, duty := range duties {
+				opts := Options{Tau: tau, Seed: 5}
+				got := rotateEpoch(net, opts, duty, salt)
+				want := referenceBiased(net, opts, duty, int64(salt))
+				compareResults(t, fmt.Sprintf("biased tau=%d salt=%d duty=%d", tau, salt, di), got, want)
+			}
+		}
 	}
-	want := referenceBiased(net, Options{Tau: 4, Seed: 5}, duty, 2)
-	compareResults(t, "biased", got, want)
 }
 
 func referenceBiased(net Network, opts Options, duty map[graph.NodeID]int, salt int64) Result {

@@ -43,9 +43,11 @@ echo '== cache consistency smoke (deep assertions)'
 # The incremental deletability engine with its dccdebug cross-checks armed:
 # every cached verdict is compared against fresh recomputation, and every
 # Commit/Remove is followed by a dirty-set audit. The reference regression
-# pins the cache-backed schedulers to the pre-cache engines byte for byte.
+# pins the cache-backed schedulers to the pre-cache engines byte for byte,
+# and the queue contract plus CanonicalElect run the one election loop in
+# all three orders (FIFO, duty-sorted FIFO, canonical) under the same checks.
 go test -tags dccdebug -run '^TestCache|^FuzzCacheConsistency$' ./internal/vpt
-go test -tags dccdebug -run 'MatchesReference$' ./internal/core
+go test -tags dccdebug -run 'MatchesReference$|^TestElectionQueueContract$|^TestCanonicalElectMatchesSchedule$' ./internal/core
 
 echo '== scenario oracle smoke (-short)'
 # The ground-truth catalogue against the pipeline: closed-form oracles,
