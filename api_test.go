@@ -2,6 +2,7 @@ package dcc
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -48,6 +49,12 @@ func TestSentinelErrorsWrapped(t *testing.T) {
 	}
 	if _, err := obs.ScheduleDCCSharded(4, ShardOptions{}); !errors.Is(err, ErrShardedUnsupported) {
 		t.Fatalf("obstacle ScheduleDCCSharded err = %v, want errors.Is ErrShardedUnsupported", err)
+	}
+	nan := *dep
+	nan.Points = append([]Point(nil), dep.Points...)
+	nan.Points[len(nan.Points)-1].X = math.NaN()
+	if _, err := nan.ScheduleDCCSharded(4, ShardOptions{}); !errors.Is(err, ErrShardedUnsupported) {
+		t.Fatalf("NaN-position ScheduleDCCSharded err = %v, want errors.Is ErrShardedUnsupported", err)
 	}
 	if _, err := PlanTau(Requirement{Gamma: 2.5}); !errors.Is(err, ErrNoFeasibleTau) {
 		t.Fatalf("PlanTau(gamma=2.5) err = %v, want errors.Is ErrNoFeasibleTau", err)

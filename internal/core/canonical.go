@@ -162,9 +162,9 @@ func (eq *ElectionQueue) Push(v graph.NodeID) {
 // CanonicalElect runs the election loop to fixpoint over cache in
 // increasing (CanonicalPriority, ID) order. test supplies the deletability
 // verdict of a node on the current residual — cache.Deletable for the
-// batch engine, the fingerprint-memoized variant for the streaming engine
-// — and MUST equal VertexDeletable on the materialized live graph, or the
-// fixpoint diverges from the canonical one. Returns the deleted nodes in
+// batch engine, the replayed and fingerprint-memoized variant for the
+// streaming engine — and MUST equal VertexDeletable on the materialized
+// live graph, or the fixpoint diverges from the canonical one. Returns the deleted nodes in
 // deletion order and the number of tests.
 //
 // The loop body is shared by both engines on purpose: the convergence

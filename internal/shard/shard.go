@@ -41,9 +41,10 @@ import (
 	"dcc/internal/vpt"
 )
 
-// ErrUnsupported marks inputs outside the engine's geometric contract —
-// today, a link longer than Rc, which would let a k-hop ball escape the
-// halo. The public layer maps it onto dcc.ErrShardedUnsupported.
+// ErrUnsupported marks inputs outside the engine's geometric contract: a
+// link longer than Rc, which would let a k-hop ball escape the halo, or a
+// non-finite position, which no grid cell can own. The public layer maps
+// it onto dcc.ErrShardedUnsupported.
 var ErrUnsupported = errors.New("shard: input outside the engine's geometric contract")
 
 // Options configures a sharded schedule. The Seed/Workers/Telemetry
@@ -178,8 +179,16 @@ func newEngine(in Input, opts Options) (*engine, error) {
 	if n == 0 {
 		return nil, errors.New("shard: empty deployment")
 	}
-	if in.Rc <= 0 {
-		return nil, fmt.Errorf("shard: non-positive Rc %v", in.Rc)
+	if !(in.Rc > 0) || math.IsInf(in.Rc, 1) {
+		return nil, fmt.Errorf("shard: Rc %v is not a positive finite length", in.Rc)
+	}
+	// The edge guard in build and the grid map compare distances, and
+	// every comparison with NaN is false: a non-finite position would slip
+	// past the halo invariant instead of failing it.
+	for i, p := range in.Points {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return nil, fmt.Errorf("%w: node %d has non-finite position (%v, %v)", ErrUnsupported, i, p.X, p.Y)
+		}
 	}
 	if len(in.Boundary) != n {
 		return nil, fmt.Errorf("shard: %d boundary flags for %d nodes", len(in.Boundary), n)

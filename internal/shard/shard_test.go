@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -196,6 +198,39 @@ func TestScheduleValidation(t *testing.T) {
 			t.Fatalf("error %v, want dense-ID rejection", err)
 		}
 	})
+}
+
+// TestNonFiniteInputRejected: every comparison with NaN is false, so a
+// NaN position would pass the long-edge guard. NaN and ±Inf coordinates
+// and Rc must be refused as ErrUnsupported before any partitioning, on
+// both the explicit-graph and the derived-edge path.
+func TestNonFiniteInputRejected(t *testing.T) {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, x := range bad {
+		for _, explicit := range []bool{false, true} {
+			for _, coord := range []string{"X", "Y"} {
+				in := UniformInput(1, 40, 6, 1.3)
+				in.Points = append([]geom.Point(nil), in.Points...)
+				if coord == "X" {
+					in.Points[7].X = x
+				} else {
+					in.Points[7].Y = x
+				}
+				if explicit {
+					in.G = geom.UDG(UniformInput(1, 40, 6, 1.3).Points, in.Rc)
+				}
+				_, _, err := Schedule(in, Options{Tau: 4})
+				if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "node 7") {
+					t.Errorf("%s=%v explicit=%v: err = %v, want ErrUnsupported naming node 7", coord, x, explicit, err)
+				}
+			}
+		}
+		in := UniformInput(1, 40, 6, 1.3)
+		in.Rc = x
+		if _, _, err := Schedule(in, Options{Tau: 4}); err == nil || !strings.Contains(err.Error(), "Rc") {
+			t.Errorf("Rc=%v: err = %v, want an Rc rejection", x, err)
+		}
+	}
 }
 
 // TestHaloDeltasFlow: with more than one shard on a dense deployment,

@@ -9,23 +9,29 @@ import (
 	"dcc/internal/vpt"
 )
 
-// debugMemoCheckLimit caps the number of memo hits cross-checked per
-// process: enough to catch a fingerprint-collision or staleness bug in any
-// test, cheap enough to leave on for the whole dccdebug suite.
+// debugMemoCheckLimit caps the number of memo and replay hits each engine
+// cross-checks: enough to catch a fingerprint collision, a digest
+// collision or an under-approximated dirty region in any test, cheap
+// enough to leave on for the whole dccdebug suite.
 const debugMemoCheckLimit = 4096
 
-var debugMemoChecks int
+// memoCheckBudget counts the hits an engine has re-derived. It lives in
+// the engine and is only touched under e.mu, so engines running on
+// parallel workers neither race on it nor spend each other's budget.
+type memoCheckBudget struct{ used int }
 
-// debugCheckMemoVerdict re-derives a memoized deletability verdict from
-// the residual neighborhood and panics on disagreement — the soundness
-// check behind the memo: fingerprint equality must imply verdict equality.
-func debugCheckMemoVerdict(cache *vpt.Cache, v graph.NodeID, memoized bool, s *graph.Scratch, t *vpt.Tester) {
-	if debugMemoChecks >= debugMemoCheckLimit {
+// debugCheckMemoVerdict re-derives a memoized or replayed deletability
+// verdict from the residual neighborhood and panics on disagreement — the
+// soundness check behind both shortcuts: fingerprint equality, and a clean
+// start ball with an equal deletion digest, must each imply verdict
+// equality.
+func debugCheckMemoVerdict(e *Engine, cache *vpt.Cache, v graph.NodeID, memoized bool, s *graph.Scratch) {
+	if e.memoChecks.used >= debugMemoCheckLimit {
 		return
 	}
-	debugMemoChecks++
-	if fresh := cache.ComputeFresh(v, s, t); fresh != memoized {
-		panic(fmt.Sprintf("stream: memoized verdict for node %d is %v, fresh computation says %v (fingerprint collision or stale memo)",
+	e.memoChecks.used++
+	if fresh := cache.ComputeFresh(v, s, e.tester); fresh != memoized {
+		panic(fmt.Sprintf("stream: memoized or replayed verdict for node %d is %v, fresh computation says %v (collision, stale memo or missed dirt)",
 			v, memoized, fresh))
 	}
 }

@@ -91,9 +91,10 @@ type Stats struct {
 	// Election.
 	Elections  int
 	Tests      int // deletability verdicts requested by the canonical loop
-	MemoHits   int // verdicts served by the neighborhood-fingerprint memo
+	MemoHits   int // verdicts served without the kernel: replayed, or found in the fingerprint memo
 	MemoMisses int
 	MemoResets int // wholesale memo drops at MemoLimit
+	Replayed   int // the MemoHits answered from the previous election's records, without a fingerprint
 
 	// Durability.
 	WALBytes  int64
@@ -104,15 +105,6 @@ type Stats struct {
 type Rejection struct {
 	Event Event
 	Err   error
-}
-
-// memoKey identifies a deletability verdict: the vertex plus the
-// fingerprint of its k-hop neighborhood on the residual it was judged
-// against. Equal fingerprints mean isomorphic (indeed identically labeled)
-// neighborhoods, which the verdict is a pure function of.
-type memoKey struct {
-	v  graph.NodeID
-	fp uint64
 }
 
 // Engine is the event-sourced streaming coverage engine. Every exported
@@ -136,8 +128,15 @@ type Engine struct {
 	watermark uint64 // highest admitted sequence number
 	pending   []Event
 
-	memo      map[memoKey]bool
+	// memo maps a NeighborhoodFingerprint to the verdict it was judged
+	// with. The fingerprint hashes the vertex's own ID as the ball's
+	// centre, so equal fingerprints mean the same vertex with an
+	// identically labeled neighborhood, which the verdict is a pure
+	// function of; keying on the fingerprint alone keeps each entry at 8
+	// bytes, which pays for the replay tables.
+	memo      map[uint64]bool
 	memoLimit int
+	replay    replay
 
 	cover      []graph.NodeID // live internal nodes after the last election
 	coverStale bool
@@ -150,8 +149,9 @@ type Engine struct {
 	telPub  Stats // amounts already published into th; the dccdebug build asserts telPub == stats after every publish
 	walSync walSyncer
 
-	tester *vpt.Tester
-	encBuf []byte
+	tester     *vpt.Tester
+	memoChecks memoCheckBudget // dccdebug: memo and replay hits re-derived so far
+	encBuf     []byte
 }
 
 // telHandles caches the engine's registry handles so publish never takes
@@ -160,6 +160,7 @@ type telHandles struct {
 	admitted, applied, rejected, duplicates, coalesced *telemetry.Counter
 	rebuilds, fastRestores                             *telemetry.Counter
 	elections, tests, memoHits, memoMisses, memoResets *telemetry.Counter
+	replayed                                           *telemetry.Counter
 	walBytes, snapshots                                *telemetry.Counter
 	watermark, pending, live                           *telemetry.Gauge
 }
@@ -178,6 +179,7 @@ func newTelHandles(reg *telemetry.Registry) telHandles {
 		memoHits:     reg.Counter("stream.memo_hits"),
 		memoMisses:   reg.Counter("stream.memo_misses"),
 		memoResets:   reg.Counter("stream.memo_resets"),
+		replayed:     reg.Counter("stream.replayed"),
 		walBytes:     reg.Counter("stream.wal_bytes"),
 		snapshots:    reg.Counter("stream.snapshots"),
 		watermark:    reg.Gauge("stream.watermark"),
@@ -208,6 +210,7 @@ func (e *Engine) publish() {
 	pubInt(e.th.memoHits, &p.MemoHits, s.MemoHits)
 	pubInt(e.th.memoMisses, &p.MemoMisses, s.MemoMisses)
 	pubInt(e.th.memoResets, &p.MemoResets, s.MemoResets)
+	pubInt(e.th.replayed, &p.Replayed, s.Replayed)
 	pubInt64(e.th.walBytes, &p.WALBytes, s.WALBytes)
 	pubInt(e.th.snapshots, &p.Snapshots, s.Snapshots)
 	e.th.watermark.Set(int64(e.watermark))
@@ -268,7 +271,7 @@ func New(net core.Network, cfg Config) (*Engine, error) {
 		k:         vpt.NeighborhoodRadius(cfg.Tau),
 		seed:      cfg.Seed,
 		cfg:       cfg,
-		memo:      make(map[memoKey]bool),
+		memo:      make(map[uint64]bool),
 		memoLimit: cfg.MemoLimit,
 		tester:    vpt.NewTester(),
 		encBuf:    make([]byte, 0, maxEventRecordLen),
@@ -511,14 +514,16 @@ func (e *Engine) flush() {
 	e.pending = e.pending[:0]
 }
 
-// elect re-runs the canonical election over the live topology. The verdict
-// function is cache.Deletable memoized by neighborhood fingerprint: a
-// vertex whose k-hop residual neighborhood is unchanged since any earlier
-// election reuses its verdict, so an event's cost concentrates inside its
-// ≤⌈τ/2⌉-hop dirty region — every fingerprint outside it is unchanged.
-// Memo hits cannot change the outcome (fingerprint equality implies
-// identically labeled neighborhoods), so the cover stays a pure function
-// of the topology; the dccdebug build re-derives every hit to prove it.
+// elect re-runs the canonical election over the live topology. A test is
+// answered, in order, by the previous election's record of the same ball
+// (replay.go: the node is outside the touched region and its deletion
+// digest matches), by the verdict memo keyed on the neighborhood
+// fingerprint (a vertex whose k-hop residual neighborhood is unchanged
+// since any earlier election), or by cache.Deletable. So an event's cost
+// concentrates inside its ≤⌈τ/2⌉-hop dirty region. Neither shortcut can
+// change the outcome (each implies an identically labeled neighborhood),
+// so the cover stays a pure function of the topology; the dccdebug build
+// re-derives hits to prove it.
 func (e *Engine) elect() {
 	if !e.coverStale {
 		return
@@ -530,26 +535,37 @@ func (e *Engine) elect() {
 	cache.Instrument(e.tel)
 	view := cache.View()
 	scratch := graph.NewScratch(live)
+	touched, all := e.topo.takeTouched()
+	e.replay.begin(live, view, touched, all, e.k, scratch)
 	test := func(v graph.NodeID) bool {
-		fp := view.NeighborhoodFingerprint(v, e.k, scratch)
-		key := memoKey{v: v, fp: fp}
-		if verdict, ok := e.memo[key]; ok {
+		i, _ := live.IndexOf(v)
+		digest := cache.DigestAt(i)
+		verdict, hit := e.replay.lookup(i, digest)
+		if hit {
+			e.stats.Replayed++
+		} else {
+			fp := view.NeighborhoodFingerprint(v, e.k, scratch)
+			if verdict, hit = e.memo[fp]; !hit {
+				e.stats.MemoMisses++
+				verdict = cache.Deletable(v)
+				if len(e.memo) >= e.memoLimit {
+					e.memo = make(map[uint64]bool)
+					e.stats.MemoResets++
+				}
+				e.memo[fp] = verdict
+			}
+		}
+		if hit {
 			e.stats.MemoHits++
-			debugCheckMemoVerdict(cache, v, verdict, scratch, e.tester)
+			debugCheckMemoVerdict(e, cache, v, verdict, scratch)
 			cache.Store(v, verdict)
-			return verdict
 		}
-		e.stats.MemoMisses++
-		verdict := cache.Deletable(v)
-		if len(e.memo) >= e.memoLimit {
-			e.memo = make(map[memoKey]bool)
-			e.stats.MemoResets++
-		}
-		e.memo[key] = verdict
+		e.replay.record(i, digest, verdict)
 		return verdict
 	}
 	net := core.Network{G: live, Boundary: e.boundary, BoundaryCycles: e.cycles}
 	_, tests := core.CanonicalElect(net, e.seed, cache, test)
+	e.replay.end()
 	e.stats.Elections++
 	e.stats.Tests += tests
 	e.cover = e.cover[:0]

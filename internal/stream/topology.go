@@ -20,6 +20,10 @@ import (
 // geometric moves) edit the universe slices and mark the base stale; the
 // next liveGraph compiles it once, so a burst of structural events between
 // two elections costs one O(n+m) compile, not one per event.
+//
+// Every applied event also records the nodes whose live adjacency it may
+// change (touched): the next election dirties their k-hop region and
+// replays the previous election's verdicts everywhere else (DESIGN.md §13).
 type topology struct {
 	radius float64 // > 0: unit-disk edges derived from positions
 
@@ -33,6 +37,15 @@ type topology struct {
 	stale bool
 	base  *graph.Graph
 	view  *graph.DeleteView
+
+	// touched lists, with repeats, every node whose live adjacency an
+	// event applied since the last takeTouched may have changed; allTouched
+	// says the whole universe may have (genesis, snapshot install, or a
+	// list grown past one entry per universe node, whose k-hop region
+	// would cover nearly everything anyway — so the list stays bounded
+	// however long no election runs).
+	touched    []graph.NodeID
+	allTouched bool
 
 	stats *Stats              // structural-event / fast-restore counters, owned by the engine
 	tel   *telemetry.Registry // rebuild span source; nil when telemetry is off
@@ -51,6 +64,8 @@ func newTopology(g *graph.Graph, radius float64, pos []geom.Point, stats *Stats)
 		base:   g,
 		view:   graph.NewDeleteView(g),
 		stats:  stats,
+
+		allTouched: true,
 	}
 }
 
@@ -111,6 +126,43 @@ func (t *topology) install(ids []graph.NodeID, pos []geom.Point, dead []bool, ed
 		}
 	}
 	t.stale = true
+	t.allTouched = true
+}
+
+// touch records v and its universe neighbours as nodes whose live
+// adjacency the current event may change. An event touches its node
+// before and after a structural edit, so neighbours lost and gained are
+// both recorded; dead neighbours are recorded too and skipped at election
+// time.
+func (t *topology) touch(v graph.NodeID) {
+	if !t.allTouched {
+		t.touched = t.universeNeighbors(append(t.touched, v), v)
+		t.boundTouched()
+	}
+}
+
+// touchEdge records both ends of an edge event: only their adjacency
+// changes.
+func (t *topology) touchEdge(u, v graph.NodeID) {
+	if !t.allTouched {
+		t.touched = append(t.touched, u, v)
+		t.boundTouched()
+	}
+}
+
+func (t *topology) boundTouched() {
+	if len(t.touched) > len(t.ids) {
+		t.touched, t.allTouched = t.touched[:0], true
+	}
+}
+
+// takeTouched returns the nodes touched since the last call, and whether
+// every node counts as touched, then starts a new record. The slice is
+// valid until the next event is applied.
+func (t *topology) takeTouched() ([]graph.NodeID, bool) {
+	touched, all := t.touched, t.allTouched
+	t.touched, t.allTouched = t.touched[:0], false
+	return touched, all
 }
 
 // structural records a structural event: the base goes stale and the
@@ -202,29 +254,31 @@ func (t *topology) deriveNeighbors(v graph.NodeID, p geom.Point) []graph.NodeID 
 	return out
 }
 
-// retainedLiveNeighbors returns, sorted, the live universe neighbors v
-// would reconnect to if revived in place — the Restore fast-path candidate
-// set. It reads the universe edge list, never the compiled base, so it is
-// exact while the base is stale. Edges are (U,V)-sorted, so v's lower
-// neighbors (edges ending at v) come first in ascending order, then its
-// higher ones (edges starting at v); no edge past U = v touches v.
-func (t *topology) retainedLiveNeighbors(v graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
+// universeNeighbors appends v's universe neighbors, dead ones included,
+// to dst in ascending order. It reads the universe edge list, never the
+// compiled base, so it is exact while the base is stale. Edges are
+// (U,V)-sorted, so v's lower neighbors (edges ending at v) come first in
+// ascending order, then its higher ones (edges starting at v); no edge
+// past U = v touches v.
+func (t *topology) universeNeighbors(dst []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	for _, e := range t.edges {
-		w := e.U
 		switch {
 		case e.U > v:
-			return out
+			return dst
 		case e.U == v:
-			w = e.V
-		case e.V != v:
-			continue
-		}
-		if t.alive(w) {
-			out = append(out, w)
+			dst = append(dst, e.V)
+		case e.V == v:
+			dst = append(dst, e.U)
 		}
 	}
-	return out
+	return dst
+}
+
+// retainedLiveNeighbors returns, sorted, the live universe neighbors v
+// would reconnect to if revived in place — the Restore fast-path candidate
+// set.
+func (t *topology) retainedLiveNeighbors(v graph.NodeID) []graph.NodeID {
+	return slices.DeleteFunc(t.universeNeighbors(nil, v), func(w graph.NodeID) bool { return !t.alive(w) })
 }
 
 // join places node v at p, either as a brand-new universe member or as a
@@ -242,12 +296,14 @@ func (t *topology) join(v graph.NodeID, p geom.Point) {
 		if t.radius <= 0 {
 			t.pos[i] = p
 			t.setDead(i, false)
+			t.touch(v)
 			t.stats.FastRestores++
 			return
 		}
 		if t.pos[i] == p &&
 			slices.Equal(t.deriveNeighbors(v, p), t.retainedLiveNeighbors(v)) {
 			t.setDead(i, false)
+			t.touch(v)
 			t.stats.FastRestores++
 			return
 		}
@@ -259,12 +315,14 @@ func (t *topology) join(v graph.NodeID, p geom.Point) {
 		t.dead = slices.Insert(t.dead, i, false)
 		t.live++
 	}
+	t.touch(v)
 	t.removeIncident(v)
 	if t.radius > 0 {
 		for _, w := range t.deriveNeighbors(v, p) {
 			t.insertEdge(graph.NormEdge(v, w))
 		}
 	}
+	t.touch(v)
 	t.structural()
 }
 
@@ -273,6 +331,7 @@ func (t *topology) join(v graph.NodeID, p geom.Point) {
 func (t *topology) depart(v graph.NodeID) {
 	i, _ := t.find(v)
 	t.setDead(i, true)
+	t.touch(v)
 }
 
 // move updates v's position. In explicit-topology mode position is pure
@@ -286,10 +345,12 @@ func (t *topology) move(v graph.NodeID, p geom.Point) {
 	if t.radius <= 0 {
 		return
 	}
+	t.touch(v)
 	t.removeIncident(v)
 	for _, w := range t.deriveNeighbors(v, p) {
 		t.insertEdge(graph.NormEdge(v, w))
 	}
+	t.touch(v)
 	t.structural()
 }
 
@@ -297,10 +358,12 @@ func (t *topology) move(v graph.NodeID, p geom.Point) {
 // already validated liveness, existence and mode.
 func (t *topology) edgeUp(u, v graph.NodeID) {
 	t.insertEdge(graph.NormEdge(u, v))
+	t.touchEdge(u, v)
 	t.structural()
 }
 
 func (t *topology) edgeDown(u, v graph.NodeID) {
 	t.removeEdge(graph.NormEdge(u, v))
+	t.touchEdge(u, v)
 	t.structural()
 }

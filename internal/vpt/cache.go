@@ -72,6 +72,10 @@ type Cache struct {
 	tau, k  int
 	view    *graph.DeleteView
 	verdict []int8 // by base dense index
+	// digest, by base dense index, sums deletionHash(u) over every u
+	// removed through Commit/Remove while it lay within k live hops of the
+	// vertex: an order-free digest of the deletions that reached its ball.
+	digest  []uint64
 	scratch *graph.Scratch
 	tester  *Tester
 	stats   CacheStats
@@ -125,6 +129,7 @@ func NewCache(g *graph.Graph, tau int) *Cache {
 		k:       NeighborhoodRadius(tau),
 		view:    graph.NewDeleteView(g),
 		verdict: make([]int8, g.NumNodes()),
+		digest:  make([]uint64, g.NumNodes()),
 		scratch: graph.NewScratch(g),
 		tester:  NewTester(),
 	}
@@ -157,6 +162,33 @@ func (c *Cache) LiveGraph() *graph.Graph { return c.view.Materialize() }
 
 // Stats returns the work counters accumulated so far.
 func (c *Cache) Stats() CacheStats { return c.stats }
+
+// DigestAt returns the deletion digest of the vertex at base dense index i
+// (see Graph.IndexOf): the sum of deletionHash(u) over every vertex u that
+// Commit or Remove deleted while i was live and within k live hops of u,
+// ball measured on the pre-removal view. 0 means no deletion has reached
+// i's ball.
+//
+// The digest pins the ball. Γ^k(v) after a run of deletions is the k-hop
+// ball of v in its construction-time ball minus the deletions that were
+// inside v's ball when committed (a deletion outside leaves the ball
+// alone, one inside changes it as a function of the old ball only). So
+// equal digests over equal construction-time balls mean equal current
+// balls, up to a 64-bit sum collision between two distinct deletion sets.
+// Restore does not touch the digest: callers that restore (the node-rejoin
+// path) must not read it as a ball identity. The streaming engine's
+// election replay (DESIGN.md §13) stands on this.
+func (c *Cache) DigestAt(i int) uint64 { return c.digest[i] }
+
+// deletionHash is the per-vertex term of the deletion digest: splitmix64's
+// finalizer of the ID, a bijection of 64-bit words, so distinct vertices
+// always contribute distinct terms.
+func deletionHash(v graph.NodeID) uint64 {
+	x := uint64(v) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
 
 // Deletable returns VertexDeletable(live graph, v, tau), memoized: a clean
 // cached verdict is returned as-is (the dirty-radius invariant guarantees
@@ -285,11 +317,17 @@ func (c *Cache) Restore(v graph.NodeID) []graph.NodeID {
 }
 
 func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
-	// Union of the pre-removal k-hop balls. KHopBallIndices reuses the
-	// scratch ball buffer, so copy per vertex.
+	// Union of the pre-removal k-hop balls; each ball also takes the
+	// deleted vertex's digest term. KHopBallIndices reuses the scratch ball
+	// buffer, so copy per vertex.
 	var dirty []int32
 	for _, v := range del {
-		dirty = append(dirty, c.view.KHopBallIndices(v, c.k, c.scratch)...)
+		ball := c.view.KHopBallIndices(v, c.k, c.scratch)
+		h := deletionHash(v)
+		for _, bi := range ball {
+			c.digest[bi] += h
+		}
+		dirty = append(dirty, ball...)
 	}
 	for _, v := range del {
 		if c.view.Delete(v) {

@@ -303,7 +303,10 @@ func sortNodeIDs(vs []graph.NodeID) {
 // Commit/Remove/Restore sequences on random connected graphs and asserts
 // every live verdict always equals fresh recomputation — the end-to-end
 // statement of the dirty-radius soundness argument, in both directions
-// (deletions shrink the live graph, restores grow it back).
+// (deletions shrink the live graph, restores grow it back). It also checks
+// every vertex's deletion digest against a brute-force oracle: the sum of
+// deletionHash(u) over the deleted vertices u that were within k hops of
+// it on the live graph when they were deleted.
 func FuzzCacheConsistency(f *testing.F) {
 	f.Add(int64(1), 12, 3)
 	f.Add(int64(2), 20, 4)
@@ -316,6 +319,8 @@ func FuzzCacheConsistency(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomConnected(r, n, 0.15)
 		c := NewCache(g, tau)
+		k := NeighborhoodRadius(tau)
+		oracle := make(map[graph.NodeID]uint64)
 		var dead []graph.NodeID
 		for step := 0; step < 8; step++ {
 			live := c.LiveNodes()
@@ -339,6 +344,9 @@ func FuzzCacheConsistency(f *testing.F) {
 				}
 			} else {
 				acted = live[r.Intn(len(live))]
+				for _, w := range c.LiveGraph().KHopNeighbors(acted, k) {
+					oracle[w] += deletionHash(acted)
+				}
 				if r.Float64() < 0.5 {
 					c.Commit([]graph.NodeID{acted})
 				} else {
@@ -351,6 +359,12 @@ func FuzzCacheConsistency(f *testing.F) {
 				if got, want := c.Deletable(w), VertexDeletable(fresh, w, tau); got != want {
 					t.Fatalf("step %d: node %d cache=%v fresh=%v (seed=%d n=%d tau=%d, acted on %d)",
 						step, w, got, want, seed, n, tau, acted)
+				}
+			}
+			for i := 0; i < g.NumNodes(); i++ {
+				if got, want := c.DigestAt(i), oracle[g.NodeAt(i)]; got != want {
+					t.Fatalf("step %d: node %d digest %#x, oracle %#x (seed=%d n=%d tau=%d, acted on %d)",
+						step, g.NodeAt(i), got, want, seed, n, tau, acted)
 				}
 			}
 		}

@@ -101,9 +101,10 @@ go test -short -race -run '^TestShardCountEquivalence$' .
 
 echo '== streaming chaos smoke (race + deep assertions)'
 # The event-stream chaos harness: crash-restart at seeded WAL offsets with
-# producer redelivery, torn snapshots, and the WAL mutation matrix, with
-# the dccdebug memo cross-checks armed.
-go test -short -race -tags dccdebug -run '^TestStreamChaosMatrix$' ./internal/stream
+# producer redelivery, torn snapshots, and the WAL mutation matrix, plus
+# the election-replay walk over every event kind, with the dccdebug
+# cross-checks armed: memo and replay hits are re-derived from scratch.
+go test -short -race -tags dccdebug -run '^TestStreamChaosMatrix$|^TestElectionReplay$' ./internal/stream
 
 echo '== telemetry byte-identity'
 # The observability contract (DESIGN.md §14): collecting metrics must not
