@@ -71,7 +71,7 @@ func TestHeuristicPrecisionRecall(t *testing.T) {
 }
 
 func TestHeuristicEmptyGraph(t *testing.T) {
-	g := graph.NewBuilder().MustBuild()
+	g := graph.NewBuilder(0, 0).MustBuild()
 	if got := Heuristic(g, HeuristicOptions{}); got != nil {
 		t.Fatalf("Heuristic on empty graph = %v", got)
 	}

@@ -438,7 +438,7 @@ func RepairBoundaries(net Network) (Network, []graph.NodeID, error) {
 	if len(net.BoundaryCycles) <= 1 {
 		return net, nil, nil
 	}
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(net.G.NumNodes(), net.G.NumEdges())
 	for _, v := range net.G.Nodes() {
 		b.AddNode(v)
 	}

@@ -51,7 +51,7 @@ func TestFromVerticesAndVector(t *testing.T) {
 
 func TestSumCancels(t *testing.T) {
 	// Two triangles sharing an edge sum to the 4-cycle around them.
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 3)
@@ -190,7 +190,7 @@ func TestMCBKnownGraphs(t *testing.T) {
 // lengths 2, 2 and 3. Cycle lengths: 4 (two short paths), 5, 5.
 // MCB = {4, 5}.
 func thetaGraph() *graph.Graph {
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	b.AddEdge(0, 2)
 	b.AddEdge(2, 1) // path A, length 2
 	b.AddEdge(0, 3)
@@ -204,7 +204,7 @@ func thetaGraph() *graph.Graph {
 // petersen returns the Petersen graph (girth 5, ν = 6, all MCB cycles of
 // length 5).
 func petersen() *graph.Graph {
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	for i := 0; i < 5; i++ {
 		b.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%5))     // outer C5
 		b.AddEdge(graph.NodeID(5+i), graph.NodeID(5+(i+2)%5)) // inner pentagram
@@ -284,7 +284,7 @@ func TestMCBLengthMultisetInvariantUnderRelabeling(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := randomConnected(r, 14, 0.25)
 		perm := r.Perm(1000)
-		b := graph.NewBuilder()
+		b := graph.NewBuilder(0, 0)
 		for _, v := range g.Nodes() {
 			b.AddNode(graph.NodeID(perm[v]))
 		}
@@ -494,7 +494,7 @@ func TestFindPartitionAgreesWithPartitionable(t *testing.T) {
 // randomConnected returns a connected random graph: a random spanning tree
 // plus G(n,p) extra edges.
 func randomConnected(r *rand.Rand, n int, p float64) *graph.Graph {
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	for i := 1; i < n; i++ {
 		b.AddEdge(graph.NodeID(i), graph.NodeID(r.Intn(i)))
 	}

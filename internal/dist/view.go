@@ -139,7 +139,7 @@ func (v *localView) neighborhoodGraph(k int) *graph.Graph {
 	for _, n := range members {
 		inSet[n] = true
 	}
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(len(members), 0)
 	for _, n := range members {
 		b.AddNode(n)
 	}

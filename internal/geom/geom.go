@@ -191,7 +191,7 @@ func pairsWithin(pts []Point, maxDist float64, fn func(i, j int, d float64)) {
 // UDG builds the unit-disk graph: node i ↔ node j iff dist ≤ rc. Node IDs
 // are the point indices.
 func UDG(pts []Point, rc float64) *graph.Graph {
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(len(pts), 0)
 	for i := range pts {
 		b.AddNode(graph.NodeID(i))
 	}
@@ -206,7 +206,7 @@ func UDG(pts []Point, rc float64) *graph.Graph {
 // with probability p; pairs beyond rOut never. rOut is the maximum
 // communication range Rc of the confine-coverage model.
 func QuasiUDG(rng *rand.Rand, pts []Point, rIn, rOut, p float64) *graph.Graph {
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(len(pts), 0)
 	for i := range pts {
 		b.AddNode(graph.NodeID(i))
 	}

@@ -18,7 +18,7 @@ func expectPanic(t *testing.T, name string, f func()) {
 // not vacuous: hand-corrupted graphs must panic.
 func TestDebugCheckGraphCatchesCorruption(t *testing.T) {
 	build := func() *Graph {
-		b := NewBuilder()
+		b := NewBuilder(0, 0)
 		b.AddEdge(1, 2)
 		b.AddEdge(2, 3)
 		b.AddEdge(1, 3)

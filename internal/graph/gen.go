@@ -4,7 +4,7 @@ import "fmt"
 
 // Path returns the path graph 0-1-…-(n−1).
 func Path(n int) *Graph {
-	b := NewBuilder()
+	b := NewBuilder(0, n)
 	if n == 1 {
 		b.AddNode(0)
 	}
@@ -19,7 +19,7 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: cycle needs n >= 3, got %d", n))
 	}
-	b := NewBuilder()
+	b := NewBuilder(0, n)
 	for i := 0; i < n; i++ {
 		b.AddEdge(NodeID(i), NodeID((i+1)%n))
 	}
@@ -28,7 +28,7 @@ func Cycle(n int) *Graph {
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
-	b := NewBuilder()
+	b := NewBuilder(0, n*(n-1)/2)
 	if n == 1 {
 		b.AddNode(0)
 	}
@@ -42,7 +42,7 @@ func Complete(n int) *Graph {
 
 // Grid returns the rows×cols grid graph with node (r,c) numbered r*cols+c.
 func Grid(rows, cols int) *Graph {
-	b := NewBuilder()
+	b := NewBuilder(rows*cols, 2*rows*cols)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -62,7 +62,7 @@ func Grid(rows, cols int) *Graph {
 // cell, so every unit face is split into two triangles. Useful as a dense
 // planar test graph whose cycle space is spanned by 3-cycles.
 func TriangulatedGrid(rows, cols int) *Graph {
-	b := NewBuilder()
+	b := NewBuilder(rows*cols, 3*rows*cols)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {

@@ -9,7 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -30,96 +32,118 @@ func NormEdge(u, v NodeID) Edge {
 	return Edge{U: u, V: v}
 }
 
-// Builder accumulates nodes and edges and produces an immutable Graph.
-// Adding an edge implicitly adds its endpoints. Duplicate edges and
-// self-loops are rejected at Build time via error.
+// Builder accumulates node and edge records in flat append-only slices
+// and produces an immutable Graph with two sort passes — no maps at any
+// point. Adding an edge implicitly adds its endpoints. Duplicate records
+// are tolerated and removed after sorting, so building a graph costs
+// O((n+m)·log(n+m)) time and, beyond the final arrays, only the record
+// slices in memory. The shard engine feeds one Builder per region from
+// its record stream, which is how a million-node deployment is scheduled
+// without ever materializing a global adjacency map (DESIGN.md §15).
+//
+// The produced layout is the one compactInduced also yields: node IDs
+// ascending, edges sorted by (U,V), ascending adjacency lists with
+// parallel edge-index lists, so logically equal graphs are
+// reflect.DeepEqual whatever the record order. Tests pin it against an
+// independent map-based oracle.
+//
+// A Builder is not safe for concurrent use.
 type Builder struct {
-	nodes map[NodeID]struct{}
-	edges map[Edge]struct{}
-	order []Edge // insertion order, for deterministic edge indexing
+	nodes []NodeID
+	edges []Edge
 }
 
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
+// NewBuilder returns an empty Builder with capacity hints for the node
+// and edge records (pass 0 when unknown).
+func NewBuilder(nodeHint, edgeHint int) *Builder {
 	return &Builder{
-		nodes: make(map[NodeID]struct{}),
-		edges: make(map[Edge]struct{}),
+		nodes: make([]NodeID, 0, nodeHint),
+		edges: make([]Edge, 0, edgeHint),
 	}
 }
 
-// AddNode adds an isolated node (no-op if present).
-func (b *Builder) AddNode(v NodeID) {
-	b.nodes[v] = struct{}{}
-}
+// AddNode records a node. Duplicates are cheap and removed at Build time.
+func (b *Builder) AddNode(v NodeID) { b.nodes = append(b.nodes, v) }
 
-// AddEdge adds the undirected edge {u,v}, implicitly adding both endpoints.
-// Duplicate additions are no-ops. Self-loops are recorded and reported as an
-// error by Build.
+// AddEdge records the undirected edge {u,v}, implicitly adding both
+// endpoints. Duplicates are removed at Build time; self-loops are reported
+// as an error by Build.
 func (b *Builder) AddEdge(u, v NodeID) {
-	e := NormEdge(u, v)
-	b.nodes[u] = struct{}{}
-	b.nodes[v] = struct{}{}
-	if _, dup := b.edges[e]; dup {
-		return
-	}
-	b.edges[e] = struct{}{}
-	b.order = append(b.order, e)
+	b.edges = append(b.edges, NormEdge(u, v))
 }
 
-// Build constructs the immutable Graph. It returns an error if a self-loop
-// was added.
+// Build assembles the immutable Graph. It returns an error if a self-loop
+// was recorded. Build consumes the records: the builder is empty
+// afterwards, so a second Build yields the empty graph.
 func (b *Builder) Build() (*Graph, error) {
-	ids := make([]NodeID, 0, len(b.nodes))
-	for v := range b.nodes {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	g := &Graph{ids: ids}
-	g.adj = make([][]int32, len(ids))
-	g.adjEdge = make([][]int32, len(ids))
-	// Deterministic edge indexing: sort edges by endpoints rather than
-	// insertion order so that logically equal graphs index identically.
-	edges := append([]Edge(nil), b.order...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	g.edges = edges
-	g.edgeU = make([]int32, len(edges))
-	g.edgeV = make([]int32, len(edges))
-	for i, e := range edges {
+	// Node universe: explicit records plus every edge endpoint, sorted and
+	// deduped in place.
+	ids := slices.Grow(b.nodes, 2*len(b.edges))
+	for _, e := range b.edges {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop at node %d", e.U)
 		}
+		ids = append(ids, e.U, e.V)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+
+	// Edge list: sort by (U,V), dedup in place.
+	edges := b.edges
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.V, b.V)
+	})
+	edges = slices.Compact(edges)
+	b.nodes, b.edges = nil, nil
+
+	g := &Graph{
+		// Copy the (possibly over-capacity) record slices into exact-size
+		// arrays so the Graph retains no oversized backing.
+		ids:     append(make([]NodeID, 0, len(ids)), ids...),
+		adj:     make([][]int32, len(ids)),
+		adjEdge: make([][]int32, len(ids)),
+		edgeU:   make([]int32, len(edges)),
+		edgeV:   make([]int32, len(edges)),
+	}
+	if len(edges) > 0 {
+		g.edges = append(make([]Edge, 0, len(edges)), edges...)
+	}
+
+	// Degree count, then one shared backing array per CSR side — the
+	// compactInduced layout.
+	deg := make([]int32, len(ids))
+	for i, e := range g.edges {
 		ui, vi := g.internalIndex(e.U), g.internalIndex(e.V)
 		g.edgeU[i], g.edgeV[i] = int32(ui), int32(vi)
-		g.adj[ui] = append(g.adj[ui], int32(vi))
-		g.adjEdge[ui] = append(g.adjEdge[ui], int32(i))
-		g.adj[vi] = append(g.adj[vi], int32(ui))
-		g.adjEdge[vi] = append(g.adjEdge[vi], int32(i))
+		deg[ui]++
+		deg[vi]++
 	}
-	for i := range g.adj {
-		a, ae := g.adj[i], g.adjEdge[i]
-		sort.Sort(&adjPair{nbrs: a, edges: ae})
+	nbrBack := make([]int32, 2*len(edges))
+	edgeBack := make([]int32, 2*len(edges))
+	off := 0
+	for i, d := range deg {
+		if d == 0 {
+			continue // isolated nodes keep nil adjacency
+		}
+		g.adj[i] = nbrBack[off : off : off+int(d)]
+		g.adjEdge[i] = edgeBack[off : off : off+int(d)]
+		off += int(d)
+	}
+	// Fill in edge-index order: edges are (U,V)-sorted, so each adjacency
+	// list receives its below-ID neighbours first (ascending, U-major) and
+	// its above-ID neighbours after (ascending) — ascending overall.
+	for i := range g.edges {
+		ui, vi := g.edgeU[i], g.edgeV[i]
+		g.adj[ui] = append(g.adj[ui], vi)
+		g.adjEdge[ui] = append(g.adjEdge[ui], int32(i))
+		g.adj[vi] = append(g.adj[vi], ui)
+		g.adjEdge[vi] = append(g.adjEdge[vi], int32(i))
 	}
 	debugCheckGraph(g) // no-op unless built with -tags dccdebug
 	return g, nil
-}
-
-// adjPair sorts an adjacency list and its parallel edge-index list together.
-type adjPair struct {
-	nbrs  []int32
-	edges []int32
-}
-
-func (p *adjPair) Len() int           { return len(p.nbrs) }
-func (p *adjPair) Less(i, j int) bool { return p.nbrs[i] < p.nbrs[j] }
-func (p *adjPair) Swap(i, j int) {
-	p.nbrs[i], p.nbrs[j] = p.nbrs[j], p.nbrs[i]
-	p.edges[i], p.edges[j] = p.edges[j], p.edges[i]
 }
 
 // MustBuild is Build that panics on error; intended for tests and for
@@ -135,7 +159,7 @@ func (b *Builder) MustBuild() *Graph {
 // FromEdges builds a graph directly from an edge list plus optional isolated
 // nodes.
 func FromEdges(edges []Edge, isolated ...NodeID) (*Graph, error) {
-	b := NewBuilder()
+	b := NewBuilder(len(isolated), len(edges))
 	for _, v := range isolated {
 		b.AddNode(v)
 	}
@@ -450,19 +474,20 @@ func (g *Graph) DeleteVertices(del []NodeID) *Graph {
 // DeleteEdges returns a new graph with the given edges removed (endpoints
 // retained).
 func (g *Graph) DeleteEdges(del []Edge) *Graph {
-	drop := make(map[Edge]struct{}, len(del))
+	drop := make([]bool, len(g.edges))
 	for _, e := range del {
-		drop[NormEdge(e.U, e.V)] = struct{}{}
+		if i, ok := g.EdgeIndex(e.U, e.V); ok {
+			drop[i] = true
+		}
 	}
-	b := NewBuilder()
+	b := NewBuilder(len(g.ids), len(g.edges))
 	for _, v := range g.ids {
 		b.AddNode(v)
 	}
-	for _, e := range g.edges {
-		if _, gone := drop[e]; gone {
-			continue
+	for i, e := range g.edges {
+		if !drop[i] {
+			b.AddEdge(e.U, e.V)
 		}
-		b.AddEdge(e.U, e.V)
 	}
 	return b.MustBuild()
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBuilderBasic(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilder(0, 0)
 	b.AddEdge(3, 1)
 	b.AddEdge(1, 3) // duplicate, reversed
 	b.AddEdge(1, 2)
@@ -44,7 +44,7 @@ func TestBuilderBasic(t *testing.T) {
 }
 
 func TestBuilderSelfLoop(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilder(0, 0)
 	b.AddEdge(5, 5)
 	if _, err := b.Build(); err == nil {
 		t.Fatal("self-loop not rejected")
@@ -54,11 +54,11 @@ func TestBuilderSelfLoop(t *testing.T) {
 func TestEdgeIndexingStable(t *testing.T) {
 	// Two builders adding the same edges in different orders must produce
 	// identical edge indexing.
-	b1 := NewBuilder()
+	b1 := NewBuilder(0, 0)
 	b1.AddEdge(0, 1)
 	b1.AddEdge(1, 2)
 	b1.AddEdge(0, 2)
-	b2 := NewBuilder()
+	b2 := NewBuilder(0, 0)
 	b2.AddEdge(0, 2)
 	b2.AddEdge(1, 2)
 	b2.AddEdge(0, 1)
@@ -225,7 +225,7 @@ func TestConnectivity(t *testing.T) {
 		conn  bool
 		comps int
 	}{
-		{"empty", NewBuilder().MustBuild(), true, 0},
+		{"empty", NewBuilder(0, 0).MustBuild(), true, 0},
 		{"single", Path(1), true, 1},
 		{"path", Path(4), true, 1},
 		{"two components", func() *Graph {
@@ -289,7 +289,7 @@ func TestCycleSpaceDim(t *testing.T) {
 
 func TestTwoCore(t *testing.T) {
 	// Cycle with a pendant path attached: the 2-core is exactly the cycle.
-	b := NewBuilder()
+	b := NewBuilder(0, 0)
 	for i := 0; i < 4; i++ {
 		b.AddEdge(NodeID(i), NodeID((i+1)%4))
 	}
@@ -361,7 +361,7 @@ func TestGenerators(t *testing.T) {
 
 // randomGraph returns a G(n,p) random graph.
 func randomGraph(r *rand.Rand, n int, p float64) *Graph {
-	b := NewBuilder()
+	b := NewBuilder(0, 0)
 	for i := 0; i < n; i++ {
 		b.AddNode(NodeID(i))
 	}

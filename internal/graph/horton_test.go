@@ -33,7 +33,7 @@ func validateCandidate(t *testing.T, g *Graph, root NodeID, length int, edges []
 		}
 	}
 	// Connectivity of the candidate edge set (single cycle, not a union).
-	sub := NewBuilder()
+	sub := NewBuilder(0, 0)
 	for ei := range seen {
 		e := g.EdgeAt(int(ei))
 		sub.AddEdge(e.U, e.V)
@@ -115,7 +115,7 @@ func TestHortonSpansCycleSpace(t *testing.T) {
 	// GF(2) elimination over edge sets.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		b := NewBuilder()
+		b := NewBuilder(0, 0)
 		n := 10
 		for i := 1; i < n; i++ {
 			b.AddEdge(NodeID(i), NodeID(r.Intn(i)))

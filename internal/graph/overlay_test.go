@@ -20,8 +20,9 @@ func pickDead(r *rand.Rand, g *Graph, p float64) []NodeID {
 
 // TestCompactInducedMatchesBuilder pins the core structural claim of the
 // incremental engine: compactInduced produces a Graph byte-identical (by
-// reflect.DeepEqual on the unexported representation) to the one Builder
-// constructs from the same nodes and edges.
+// reflect.DeepEqual on the unexported representation) to the one the
+// map-based oracle (builder_test.go), and therefore Builder, constructs
+// from the same nodes and edges.
 func TestCompactInducedMatchesBuilder(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -36,7 +37,7 @@ func TestCompactInducedMatchesBuilder(t *testing.T) {
 		}
 		got := g.compactInduced(keep, NewScratch(g))
 
-		b := NewBuilder()
+		b := newOracleBuilder()
 		for _, v := range nodes {
 			b.AddNode(v)
 		}
@@ -47,7 +48,7 @@ func TestCompactInducedMatchesBuilder(t *testing.T) {
 		}
 		want := b.MustBuild()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: compactInduced differs from Builder\ngot:  %+v\nwant: %+v", trial, got, want)
+			t.Fatalf("trial %d: compactInduced differs from oracle\ngot:  %+v\nwant: %+v", trial, got, want)
 		}
 	}
 }
@@ -302,7 +303,7 @@ func TestNeighborhoodFingerprint(t *testing.T) {
 
 	// Sensitivity inside the ball vs. insensitivity outside it, on a path
 	// where hop distances are unambiguous: 0-1-2-3-4-5.
-	b := NewBuilder()
+	b := NewBuilder(0, 0)
 	for i := NodeID(0); i < 6; i++ {
 		b.AddNode(i)
 	}
@@ -369,7 +370,7 @@ func ballEncoding(g *Graph, v NodeID, k int) string {
 
 // withEdgeToggled returns a copy of g with the edge {a, b} flipped.
 func withEdgeToggled(g *Graph, a, b NodeID) *Graph {
-	nb := NewBuilder()
+	nb := NewBuilder(0, 0)
 	for _, v := range g.Nodes() {
 		nb.AddNode(v)
 	}
@@ -416,7 +417,7 @@ func TestNeighborhoodFingerprintMixer(t *testing.T) {
 			// The same labelled ball over a different base: only the ball,
 			// plus a pendant vertex past every ball vertex at distance k.
 			ball := g.KHopNeighbors(v, k)
-			b := NewBuilder()
+			b := NewBuilder(0, 0)
 			sub := g.InducedSubgraph(append([]NodeID{v}, ball...))
 			for _, x := range sub.Nodes() {
 				b.AddNode(x)

@@ -25,7 +25,7 @@ func Mobius() (*graph.Graph, *simplicial.Complex, []graph.NodeID) {
 	outer := func(j int) graph.NodeID { return graph.NodeID(j % 8) }
 	core := func(i int) graph.NodeID { return graph.NodeID(8 + i%4) }
 
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	for j := 0; j < 8; j++ {
 		b.AddEdge(outer(j), outer(j+1)) // outer boundary
 		b.AddEdge(outer(j), core(j))    // spoke

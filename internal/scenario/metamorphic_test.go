@@ -16,7 +16,7 @@ import (
 // deletion trace must map node-for-node through φ.
 func relabel(net core.Network) (core.Network, func(graph.NodeID) graph.NodeID) {
 	phi := func(v graph.NodeID) graph.NodeID { return 7*v + 3 }
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	for _, v := range net.G.Nodes() {
 		b.AddNode(phi(v))
 	}

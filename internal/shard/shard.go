@@ -12,7 +12,7 @@
 // the cell's k·Rc-neighbourhood (DESIGN.md §15 has the full halo
 // invariant). Verdicts therefore evaluate shard-locally with no global
 // graph anywhere: each region's subgraph is assembled by a
-// graph.StreamBuilder from streamed node/edge records, and the only
+// graph.Builder from streamed node/edge records, and the only
 // global state the coordinator keeps is flat per-node arrays (owner
 // cell, liveness, position).
 //
@@ -257,15 +257,15 @@ func autoShards(n int) int {
 }
 
 // build streams every node and edge record into its member regions'
-// StreamBuilders and assembles the per-region subgraphs and caches in
+// Builders and assembles the per-region subgraphs and caches in
 // parallel. No global adjacency is ever materialized: the only
 // edge-model state is either the caller's CSR graph (iterated once) or
 // geom.PairsWithin's spatial hash of positions.
 func (e *engine) build() error {
 	nr := e.gr.gx * e.gr.gy
-	builders := make([]*graph.StreamBuilder, nr)
+	builders := make([]*graph.Builder, nr)
 	for s := range builders {
-		builders[s] = graph.NewStreamBuilder(0, 0)
+		builders[s] = graph.NewBuilder(0, 0)
 	}
 	for i, p := range e.in.Points {
 		e.owner[i] = int32(e.gr.ownerOf(p))
@@ -325,14 +325,14 @@ func (e *engine) build() error {
 
 // assemble gathers the global result from the regions: liveness is the
 // coordinator's flat array, and each surviving edge is emitted exactly
-// once by the region owning its lower endpoint. The StreamBuilder yields
+// once by the region owning its lower endpoint. The Builder yields
 // the same CSR layout core's finishResult materializes, so the full
 // Result — Final graph included — compares byte-identical.
 func (e *engine) assemble(deleted []graph.NodeID, tests int) core.Result {
-	sb := graph.NewStreamBuilder(e.n-len(deleted), 0)
+	b := graph.NewBuilder(e.n-len(deleted), 0)
 	for i := 0; i < e.n; i++ {
 		if e.alive[i] {
-			sb.AddNode(graph.NodeID(i))
+			b.AddNode(graph.NodeID(i))
 		}
 	}
 	for s, r := range e.regions {
@@ -344,10 +344,10 @@ func (e *engine) assemble(deleted []graph.NodeID, tests int) core.Result {
 			if !e.alive[ed.U] || !e.alive[ed.V] {
 				continue
 			}
-			sb.AddEdge(ed.U, ed.V)
+			b.AddEdge(ed.U, ed.V)
 		}
 	}
-	final := sb.MustBuild()
+	final := b.MustBuild()
 	kept := final.Nodes()
 	var internal []graph.NodeID
 	for _, v := range kept {

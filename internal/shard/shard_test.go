@@ -170,7 +170,7 @@ func TestScheduleValidation(t *testing.T) {
 	}
 
 	t.Run("longEdge", func(t *testing.T) {
-		b := graph.NewBuilder()
+		b := graph.NewBuilder(0, 0)
 		b.AddEdge(0, 1)
 		in := Input{
 			Points:   []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 0}},
@@ -185,7 +185,7 @@ func TestScheduleValidation(t *testing.T) {
 	})
 
 	t.Run("sparseIDs", func(t *testing.T) {
-		b := graph.NewBuilder()
+		b := graph.NewBuilder(0, 0)
 		b.AddEdge(0, 2)
 		in := Input{
 			Points:   []geom.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}},

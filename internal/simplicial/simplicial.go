@@ -153,7 +153,7 @@ func (k *Complex) ConeFence(fence []graph.NodeID) (*Complex, graph.NodeID) {
 			apex = v + 1
 		}
 	}
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(k.g.NumNodes(), k.g.NumEdges()+len(fence))
 	for _, v := range k.g.Nodes() {
 		b.AddNode(v)
 	}

@@ -35,7 +35,7 @@ func TestRipsTriangleCount(t *testing.T) {
 func TestRipsTrianglesAreCliquesAndUnique(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		b := graph.NewBuilder()
+		b := graph.NewBuilder(0, 0)
 		n := 15
 		for i := 0; i < n; i++ {
 			b.AddNode(graph.NodeID(i))
@@ -165,7 +165,7 @@ func TestAnnulusRelativeHomology(t *testing.T) {
 func annulus() (*graph.Graph, *Complex, []graph.NodeID, []graph.NodeID) {
 	inner := []graph.NodeID{0, 1, 2, 3}
 	outer := []graph.NodeID{4, 5, 6, 7, 8, 9, 10, 11}
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	for i := 0; i < 4; i++ {
 		b.AddEdge(inner[i], inner[(i+1)%4])
 	}

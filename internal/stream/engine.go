@@ -33,19 +33,6 @@ type Config struct {
 	// Positions carries genesis coordinates, indexed by node id. Required
 	// for every genesis node when Radius > 0; optional metadata otherwise.
 	Positions map[graph.NodeID]geom.Point
-	// MaxPending bounds the backpressure queue: when the pending batch
-	// reaches this depth the engine degrades gracefully by applying the
-	// whole batch at once (one re-election instead of one per event).
-	// 0 means 256.
-	MaxPending int
-	// NoCoalesce disables mobility-tick coalescing (mostly for tests; the
-	// default last-write-wins coalescing is semantics-preserving).
-	NoCoalesce bool
-	// MemoLimit caps the verdict memo; at the cap the memo is dropped
-	// wholesale, which keeps eviction deterministic. 0 means 1<<20.
-	MemoLimit int
-	// MaxQuarantine bounds the rejected-event ring. 0 means 64.
-	MaxQuarantine int
 	// WAL, when non-nil, receives the write-ahead log: a header record at
 	// genesis, then every admitted event, framed and checksummed
 	// (trace.AppendRecord) before it is applied.
@@ -66,6 +53,7 @@ type Config struct {
 // walSyncer is the optional durability surface of a WAL writer.
 type walSyncer interface{ Sync() error }
 
+// Engine bounds, fixed at construction (tests shrink them in-package).
 const (
 	defaultMaxPending    = 256
 	defaultMemoLimit     = 1 << 20
@@ -93,7 +81,7 @@ type Stats struct {
 	Tests      int // deletability verdicts requested by the canonical loop
 	MemoHits   int // verdicts served without the kernel: replayed, or found in the fingerprint memo
 	MemoMisses int
-	MemoResets int // wholesale memo drops at MemoLimit
+	MemoResets int // wholesale memo drops at the memo's size cap
 	Replayed   int // the MemoHits answered from the previous election's records, without a fingerprint
 
 	// Durability.
@@ -127,13 +115,18 @@ type Engine struct {
 
 	watermark uint64 // highest admitted sequence number
 	pending   []Event
+	// maxPending bounds the backpressure queue: when the pending batch
+	// reaches this depth the engine degrades gracefully by applying the
+	// whole batch at once (one re-election instead of one per event).
+	maxPending int
 
 	// memo maps a NeighborhoodFingerprint to the verdict it was judged
 	// with. The fingerprint hashes the vertex's own ID as the ball's
 	// centre, so equal fingerprints mean the same vertex with an
 	// identically labeled neighborhood, which the verdict is a pure
 	// function of; keying on the fingerprint alone keeps each entry at 8
-	// bytes, which pays for the replay tables.
+	// bytes, which pays for the replay tables. At memoLimit entries the
+	// memo is dropped wholesale, which keeps eviction deterministic.
 	memo      map[uint64]bool
 	memoLimit int
 	replay    replay
@@ -141,8 +134,9 @@ type Engine struct {
 	cover      []graph.NodeID // live internal nodes after the last election
 	coverStale bool
 
-	quarantine []Rejection
-	stats      Stats
+	quarantine    []Rejection // the most recent maxQuarantine rejections
+	maxQuarantine int
+	stats         Stats
 
 	tel     *telemetry.Registry
 	th      telHandles
@@ -243,15 +237,6 @@ func New(net core.Network, cfg Config) (*Engine, error) {
 	if cfg.Radius < 0 || !finite(cfg.Radius) {
 		return nil, fmt.Errorf("stream: invalid radius %v", cfg.Radius)
 	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = defaultMaxPending
-	}
-	if cfg.MemoLimit <= 0 {
-		cfg.MemoLimit = defaultMemoLimit
-	}
-	if cfg.MaxQuarantine <= 0 {
-		cfg.MaxQuarantine = defaultMaxQuarantine
-	}
 
 	nodes := net.G.Nodes()
 	pos := make([]geom.Point, len(nodes))
@@ -267,14 +252,16 @@ func New(net core.Network, cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		tau:       cfg.Tau,
-		k:         vpt.NeighborhoodRadius(cfg.Tau),
-		seed:      cfg.Seed,
-		cfg:       cfg,
-		memo:      make(map[uint64]bool),
-		memoLimit: cfg.MemoLimit,
-		tester:    vpt.NewTester(),
-		encBuf:    make([]byte, 0, maxEventRecordLen),
+		tau:           cfg.Tau,
+		k:             vpt.NeighborhoodRadius(cfg.Tau),
+		seed:          cfg.Seed,
+		cfg:           cfg,
+		memo:          make(map[uint64]bool),
+		memoLimit:     defaultMemoLimit,
+		maxPending:    defaultMaxPending,
+		maxQuarantine: defaultMaxQuarantine,
+		tester:        vpt.NewTester(),
+		encBuf:        make([]byte, 0, maxEventRecordLen),
 	}
 	if cfg.Telemetry != nil {
 		e.tel = cfg.Telemetry
@@ -353,10 +340,10 @@ func (e *Engine) checkImmutable(ev Event) error {
 	return nil
 }
 
-// reject quarantines ev, keeping the most recent MaxQuarantine rejections.
+// reject quarantines ev, keeping the most recent maxQuarantine rejections.
 func (e *Engine) reject(ev Event, err error) {
 	e.stats.Rejected++
-	if len(e.quarantine) == e.cfg.MaxQuarantine {
+	if len(e.quarantine) == e.maxQuarantine {
 		copy(e.quarantine, e.quarantine[1:])
 		e.quarantine = e.quarantine[:len(e.quarantine)-1]
 	}
@@ -452,7 +439,7 @@ func (e *Engine) applyOne(ev Event) error {
 // later pending event references that node — a window in which replacing
 // the tick provably reaches the same final topology, because a node's
 // derived edges depend only on its latest position. When the queue reaches
-// MaxPending the whole batch is applied at once (bounded staleness: one
+// maxPending the whole batch is applied at once (bounded staleness: one
 // re-election amortizes the burst).
 //
 // The returned error reports this event's admission verdict (nil means
@@ -465,7 +452,7 @@ func (e *Engine) Ingest(ev Event) error {
 	if err := e.admit(ev); err != nil {
 		return err
 	}
-	if ev.Kind == KindMove && !e.cfg.NoCoalesce {
+	if ev.Kind == KindMove {
 		for i := len(e.pending) - 1; i >= 0; i-- {
 			p := e.pending[i]
 			if p.Node == ev.Node || (p.Kind.pairwise() && p.Peer == ev.Node) {
@@ -479,7 +466,7 @@ func (e *Engine) Ingest(ev Event) error {
 		}
 	}
 	e.pending = append(e.pending, ev)
-	if len(e.pending) >= e.cfg.MaxPending {
+	if len(e.pending) >= e.maxPending {
 		e.flush()
 	}
 	return nil

@@ -147,12 +147,11 @@ func TestEngineBatchedEqualsStepped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcfg := cfg
-	bcfg.MaxPending = 8
-	batched, err := New(net, bcfg)
+	batched, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	batched.maxPending = 8
 	m := NewMutator(net, cfg, 44)
 	for i := 0; i < 120; i++ {
 		ev := m.Next()
@@ -163,7 +162,7 @@ func TestEngineBatchedEqualsStepped(t *testing.T) {
 		if err := batched.Ingest(ev); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		if batched.PendingLen() >= bcfg.MaxPending {
+		if batched.PendingLen() >= batched.maxPending {
 			t.Fatalf("backpressure cap not enforced: %d pending", batched.PendingLen())
 		}
 	}
@@ -325,10 +324,11 @@ func TestEngineApplySemantics(t *testing.T) {
 
 func TestEngineQuarantineRing(t *testing.T) {
 	net, pos := testDeploy(t, 83, 5, 5, 1.6)
-	e, err := New(net, Config{Tau: 3, Seed: 1, Positions: pos, MaxQuarantine: 3})
+	e, err := New(net, Config{Tau: 3, Seed: 1, Positions: pos})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.maxQuarantine = 3
 	for i := 0; i < 6; i++ {
 		ev := Event{Seq: uint64(i + 1), Kind: KindLeave, Node: graph.NodeID(5000 + i)}
 		if err := e.Step(ev); !errors.Is(err, ErrInvalidEvent) {
@@ -357,10 +357,11 @@ func TestEngineMemoEffectiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := New(net, Config{Tau: 4, Seed: 3, Positions: pos, MemoLimit: 4})
+	tiny, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tiny.memoLimit = 4
 	v := net.InternalNodes()[0]
 	seq := uint64(0)
 	for i := 0; i < 6; i++ {
@@ -462,12 +463,12 @@ func TestEventDecodeMalformed(t *testing.T) {
 
 func TestEngineCoalescingBlockedByIntervening(t *testing.T) {
 	net, pos := testDeploy(t, 85, 5, 5, 1.6)
-	cfg := Config{Tau: 3, Seed: 1, Radius: 1.6, Positions: pos, MaxPending: 100}
+	cfg := Config{Tau: 3, Seed: 1, Radius: 1.6, Positions: pos}
 	e, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(net, Config{Tau: 3, Seed: 1, Radius: 1.6, Positions: pos, NoCoalesce: true})
+	plain, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

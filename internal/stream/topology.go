@@ -97,7 +97,7 @@ func (t *topology) liveCount() int { return t.live }
 func (t *topology) compile() {
 	sp := t.tel.StartSpan("stream.rebuild")
 	defer sp.End()
-	b := graph.NewStreamBuilder(len(t.ids), len(t.edges))
+	b := graph.NewBuilder(len(t.ids), len(t.edges))
 	for _, v := range t.ids {
 		b.AddNode(v)
 	}

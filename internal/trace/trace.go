@@ -307,7 +307,7 @@ func (t *Trace) ThresholdForFraction(frac float64) float64 {
 // ExtractGraph builds the communication graph from edges whose average
 // RSSI clears the threshold. All deployed nodes appear (possibly isolated).
 func (t *Trace) ExtractGraph(thresholdDBm float64) *graph.Graph {
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(len(t.Pts), 0)
 	for i := range t.Pts {
 		b.AddNode(graph.NodeID(i))
 	}

@@ -73,7 +73,7 @@ type Cache struct {
 	view    *graph.DeleteView
 	verdict []int8 // by base dense index
 	// digest, by base dense index, sums deletionHash(u) over every u
-	// removed through Commit/Remove while it lay within k live hops of the
+	// removed through Commit while it lay within k live hops of the
 	// vertex: an order-free digest of the deletions that reached its ball.
 	digest  []uint64
 	scratch *graph.Scratch
@@ -115,7 +115,7 @@ type CacheStats struct {
 	// Computes counts actual verdict evaluations (cache misses plus
 	// ComputeFresh calls published via Store are not included).
 	Computes int
-	// Invalidated counts verdict entries reset by Commit/Remove.
+	// Invalidated counts verdict entries reset by Commit/Restore.
 	Invalidated int
 }
 
@@ -146,7 +146,7 @@ func (c *Cache) Tau() int { return c.tau }
 func (c *Cache) Radius() int { return c.k }
 
 // View returns the live-vertex overlay. Callers must not mutate it
-// directly — all deletions go through Commit/Remove so invalidation stays
+// directly — all deletions go through Commit so invalidation stays
 // coupled to removal.
 func (c *Cache) View() *graph.DeleteView { return c.view }
 
@@ -165,7 +165,7 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 
 // DigestAt returns the deletion digest of the vertex at base dense index i
 // (see Graph.IndexOf): the sum of deletionHash(u) over every vertex u that
-// Commit or Remove deleted while i was live and within k live hops of u,
+// Commit deleted while i was live and within k live hops of u,
 // ball measured on the pre-removal view. 0 means no deletion has reached
 // i's ball.
 //
@@ -225,7 +225,7 @@ func (c *Cache) ComputeFresh(v graph.NodeID, s *graph.Scratch, t *Tester) bool {
 }
 
 // Store publishes an externally computed verdict (from ComputeFresh) into
-// the memo. The caller must ensure no Commit/Remove happened between the
+// the memo. The caller must ensure no Commit/Restore happened between the
 // computation and the store.
 func (c *Cache) Store(v graph.NodeID, deletable bool) {
 	i, ok := c.g.IndexOf(v)
@@ -261,19 +261,47 @@ func (c *Cache) compute(v graph.NodeID, s *graph.Scratch, t *Tester) int8 {
 // returns the dirtied live vertices in increasing ID order: exactly the
 // nodes whose verdict may have changed and must be retested.
 func (c *Cache) Commit(deleted []graph.NodeID) []graph.NodeID {
-	return c.remove(deleted)
+	// Union of the pre-removal k-hop balls; each ball also takes the
+	// deleted vertex's digest term. KHopBallIndices reuses the scratch ball
+	// buffer, so copy per vertex.
+	var dirty []int32
+	for _, v := range deleted {
+		ball := c.view.KHopBallIndices(v, c.k, c.scratch)
+		h := deletionHash(v)
+		for _, bi := range ball {
+			c.digest[bi] += h
+		}
+		dirty = append(dirty, ball...)
+	}
+	for _, v := range deleted {
+		if c.view.Delete(v) {
+			if i, ok := c.g.IndexOf(v); ok {
+				c.verdict[i] = verdictNo // dead vertices are never deletable
+			}
+		}
+	}
+	slices.Sort(dirty)
+	out := make([]graph.NodeID, 0, len(dirty))
+	for i, bi := range dirty {
+		if i > 0 && dirty[i-1] == bi {
+			continue
+		}
+		if !c.view.LiveAt(int(bi)) {
+			continue // removed alongside v in the same batch
+		}
+		if c.verdict[bi] != verdictUnknown {
+			c.stats.Invalidated++
+			c.telInvalidated.Inc()
+		}
+		c.verdict[bi] = verdictUnknown
+		out = append(out, c.g.NodeAt(int(bi)))
+	}
+	c.telDirty.Observe(int64(len(out)))
+	debugAuditClean(c)
+	return out
 }
 
-// Remove is Commit for vertices that vanish outside the scheduler's
-// control (crash faults in the distributed runtime): a bare removal
-// invalidates the same dirty region as a scheduled deletion — the cache
-// cannot tell why a vertex disappeared, only that its neighbours' Γ^k
-// changed.
-func (c *Cache) Remove(removed []graph.NodeID) []graph.NodeID {
-	return c.remove(removed)
-}
-
-// Restore revives a vertex previously removed through Commit/Remove — the
+// Restore revives a vertex previously removed through Commit — the
 // node-rejoin path of the streaming engine — and invalidates every cached
 // verdict within k live-path hops of v measured on the post-restore view.
 // The mirror-image soundness argument of Commit applies: an insertion only
@@ -310,47 +338,6 @@ func (c *Cache) Restore(v graph.NodeID) []graph.NodeID {
 	}
 	if !placed {
 		mark(int32(vi))
-	}
-	c.telDirty.Observe(int64(len(out)))
-	debugAuditClean(c)
-	return out
-}
-
-func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
-	// Union of the pre-removal k-hop balls; each ball also takes the
-	// deleted vertex's digest term. KHopBallIndices reuses the scratch ball
-	// buffer, so copy per vertex.
-	var dirty []int32
-	for _, v := range del {
-		ball := c.view.KHopBallIndices(v, c.k, c.scratch)
-		h := deletionHash(v)
-		for _, bi := range ball {
-			c.digest[bi] += h
-		}
-		dirty = append(dirty, ball...)
-	}
-	for _, v := range del {
-		if c.view.Delete(v) {
-			if i, ok := c.g.IndexOf(v); ok {
-				c.verdict[i] = verdictNo // dead vertices are never deletable
-			}
-		}
-	}
-	slices.Sort(dirty)
-	out := make([]graph.NodeID, 0, len(dirty))
-	for i, bi := range dirty {
-		if i > 0 && dirty[i-1] == bi {
-			continue
-		}
-		if !c.view.LiveAt(int(bi)) {
-			continue // removed alongside v in the same batch
-		}
-		if c.verdict[bi] != verdictUnknown {
-			c.stats.Invalidated++
-			c.telInvalidated.Inc()
-		}
-		c.verdict[bi] = verdictUnknown
-		out = append(out, c.g.NodeAt(int(bi)))
 	}
 	c.telDirty.Observe(int64(len(out)))
 	debugAuditClean(c)

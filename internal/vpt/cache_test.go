@@ -12,7 +12,7 @@ import (
 // plus extra edges with probability p.
 func randomConnected(r *rand.Rand, n int, p float64) *graph.Graph {
 	perm := r.Perm(n)
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	for i := 1; i < n; i++ {
 		b.AddEdge(graph.NodeID(perm[i-1]), graph.NodeID(perm[i]))
 	}
@@ -100,7 +100,7 @@ func TestCacheDirtySetIsExactBall(t *testing.T) {
 func TestCacheBoundaryRingDeletion(t *testing.T) {
 	// A ring 0..11 with spokes to a hub 100: ring vertices sit on the
 	// "boundary" of the ball structure (their balls are arcs, not disks).
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	for i := 0; i < 12; i++ {
 		b.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%12))
 		b.AddEdge(graph.NodeID(i), 100)
@@ -144,21 +144,6 @@ func TestCacheTauThreeMinimumRadius(t *testing.T) {
 	if inv := c.Stats().Invalidated; inv != len(dirty) {
 		t.Fatalf("Invalidated = %d, want %d (all warm)", inv, len(dirty))
 	}
-}
-
-// TestCacheRemoveInvalidatesLikeCommit: crash-removals (Remove) must dirty
-// the same region as scheduled deletions (Commit) — the distributed runtime
-// relies on this under Config.Faults.
-func TestCacheRemoveInvalidatesLikeCommit(t *testing.T) {
-	g := graph.TriangulatedGrid(6, 6)
-	v := graph.NodeID(2*6 + 3)
-	a, b := NewCache(g, 5), NewCache(g, 5)
-	da := a.Commit([]graph.NodeID{v})
-	db := b.Remove([]graph.NodeID{v})
-	if !reflect.DeepEqual(da, db) {
-		t.Fatalf("Commit dirty %v != Remove dirty %v", da, db)
-	}
-	checkAgainstFresh(t, b, "after crash removal")
 }
 
 // TestCacheBatchCommit: removing an independent set at once (the parallel
@@ -300,7 +285,7 @@ func sortNodeIDs(vs []graph.NodeID) {
 }
 
 // FuzzCacheConsistency drives a cache through random interleaved
-// Commit/Remove/Restore sequences on random connected graphs and asserts
+// Commit/Restore sequences on random connected graphs and asserts
 // every live verdict always equals fresh recomputation — the end-to-end
 // statement of the dirty-radius soundness argument, in both directions
 // (deletions shrink the live graph, restores grow it back). It also checks
@@ -347,11 +332,7 @@ func FuzzCacheConsistency(f *testing.F) {
 				for _, w := range c.LiveGraph().KHopNeighbors(acted, k) {
 					oracle[w] += deletionHash(acted)
 				}
-				if r.Float64() < 0.5 {
-					c.Commit([]graph.NodeID{acted})
-				} else {
-					c.Remove([]graph.NodeID{acted})
-				}
+				c.Commit([]graph.NodeID{acted})
 				dead = append(dead, acted)
 			}
 			fresh := c.LiveGraph()

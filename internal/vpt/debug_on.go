@@ -10,7 +10,7 @@ import (
 
 // Deep assertions for the incremental deletability engine (-tags dccdebug):
 // every cached verdict must equal a from-scratch recomputation on a freshly
-// materialized graph, and after every Commit/Remove the surviving clean
+// materialized graph, and after every Commit/Restore the surviving clean
 // verdicts must still be fresh (the dirty-set audit — the k-hop
 // invalidation radius really covered everything that changed).
 //

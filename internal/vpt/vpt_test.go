@@ -57,7 +57,7 @@ func TestVertexDeletableRedundantNode(t *testing.T) {
 	}
 	// An apex stacked over one triangle of a triangulated grid is
 	// redundant: its deletion leaves the (still filled) triangle.
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	tg := graph.TriangulatedGrid(4, 4)
 	for _, e := range tg.Edges() {
 		b.AddEdge(e.U, e.V)
@@ -94,7 +94,7 @@ func TestVertexNotDeletableOnPlainGrid(t *testing.T) {
 
 func TestVertexDeletableDisconnectedNeighborhood(t *testing.T) {
 	// Star: the centre's neighbourhood (leaves) is totally disconnected.
-	b := graph.NewBuilder()
+	b := graph.NewBuilder(0, 0)
 	for i := 1; i <= 4; i++ {
 		b.AddEdge(0, graph.NodeID(i))
 	}

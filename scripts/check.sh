@@ -42,7 +42,7 @@ go test -tags dccdebug ./...
 echo '== cache consistency smoke (deep assertions)'
 # The incremental deletability engine with its dccdebug cross-checks armed:
 # every cached verdict is compared against fresh recomputation, and every
-# Commit/Remove is followed by a dirty-set audit. The reference regression
+# Commit/Restore is followed by a dirty-set audit. The reference regression
 # pins the cache-backed schedulers to the pre-cache engines byte for byte,
 # and the queue contract plus CanonicalElect run the one election loop in
 # all three orders (FIFO, duty-sorted FIFO, canonical) under the same checks.
@@ -123,6 +123,7 @@ grep -q '"class":"deterministic","type":"counter","name":"core.runs"' /tmp/dccsi
 echo "== fuzz smoke (${FUZZTIME} per target)"
 go test -run=NONE -fuzz='^FuzzVectorXOR$' -fuzztime="$FUZZTIME" ./internal/bitvec
 go test -run=NONE -fuzz='^FuzzRank$' -fuzztime="$FUZZTIME" ./internal/bitvec
+go test -run=NONE -fuzz='^FuzzBuilder$' -fuzztime="$FUZZTIME" ./internal/graph
 go test -run=NONE -fuzz='^FuzzFrameRoundTrip$' -fuzztime="$FUZZTIME" ./internal/dist
 go test -run=NONE -fuzz='^FuzzCacheConsistency$' -fuzztime="$FUZZTIME" ./internal/vpt
 go test -run=NONE -fuzz='^FuzzScenarioDeterminism$' -fuzztime="$FUZZTIME" ./internal/scenario
